@@ -5,13 +5,15 @@ sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 1-based, so 0 never collides).  All kernels keep rows sorted and return
 fresh arrays; nothing is mutated in place across round boundaries.
 
-Subset keys are bit-packed into uint64 words when the ids fit; otherwise
-the kernels fall back to plain Python sets, which is only ever exercised
-on tiny instances.
+Subsets are matched and counted by uint64 keys, one scheme at any edge
+width: ids are bit-packed while the key fits in 63 bits; before a column
+that would overflow it, the partial key is replaced by its dense rank (one
+np.unique pass).  Up to 63 // bit_length(n) ids are packed, never ranked.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -73,20 +75,40 @@ def dedupe_rows(mat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uniq, sizes[idx]
 
 
-def _packable(max_subset: int, n: int) -> bool:
-    return max_subset * max(n.bit_length(), 1) <= 63
+@cache
+def _combos(s: int, t: int) -> np.ndarray:
+    """(t, C(s, t)) column indices of the t-subsets of range(s), read-only."""
+    idx = np.array(list(combinations(range(s), t)), dtype=np.intp).T
+    idx.flags.writeable = False
+    return idx
 
 
-def _pack_combos(rows: np.ndarray, s: int, t: int, bits: int) -> np.ndarray:
-    """uint64 keys of all t-subsets of each size-s row; shape (C(s,t)*m,)."""
-    keys = []
+def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
+    """Every t-subset of each row of a (k, s) matrix, as a (t, C(s, t) * k)
+    matrix of columns: subset number j of row i sits at column j * k + i."""
+    return rows.T[_combos(rows.shape[1], t)].reshape(t, -1)
+
+
+def _row_keys(rows: np.ndarray, bits: int) -> np.ndarray:
+    """uint64 keys of the rows of a (k, t) id matrix, equal exactly when
+    the rows are equal.
+
+    Ids must lie below 2^bits, and k * 2^bits below 2^63.  Columns are
+    packed left to right while the key fits in 63 bits; before a column
+    that would overflow it, the partial key is replaced by its dense rank
+    among the k rows.  Keys are only comparable within one call.
+    """
     shift = np.uint64(bits)
-    for combo in combinations(range(s), t):
-        k = rows[:, combo[0]].astype(np.uint64)
-        for c in combo[1:]:
-            k = (k << shift) | rows[:, c].astype(np.uint64)
-        keys.append(k)
-    return np.concatenate(keys) if keys else np.empty(0, dtype=np.uint64)
+    key = rows[:, 0].astype(np.uint64)
+    used = bits
+    for c in range(1, rows.shape[1]):
+        if used + bits > 63:
+            uniq, key = np.unique(key, return_inverse=True)
+            key = key.astype(np.uint64)
+            used = max((len(uniq) - 1).bit_length(), 1)
+        key = (key << shift) | rows[:, c].astype(np.uint64)
+        used += bits
+    return key
 
 
 def prune_supersets(
@@ -100,46 +122,24 @@ def prune_supersets(
     m = mat.shape[0]
     if m <= 1:
         return mat, sizes
-    present = sorted(set(int(s) for s in sizes))
+    present = np.flatnonzero(np.bincount(sizes)).tolist()
     if len(present) == 1:
         return mat, sizes  # equal sizes cannot nest strictly
     bits = max(n.bit_length(), 1)
-    if not _packable(present[-1] - 1, n):
-        return _prune_supersets_py(mat, sizes)
-    keys_by_size: dict[int, np.ndarray] = {}
-    for s in present[:-1]:
-        rows = mat[sizes == s]
-        keys_by_size[s] = np.sort(_pack_combos(rows, s, s, bits))
+    idx = {s: np.flatnonzero(sizes == s) for s in present}
+    rows = {s: mat[i, :s] for s, i in idx.items()}
     doomed = np.zeros(m, dtype=bool)
-    for s in present[1:]:
-        sel = sizes == s
-        rows = mat[sel]
-        if rows.shape[0] == 0:
-            continue
-        hit = np.zeros(rows.shape[0], dtype=bool)
-        for t in present:
-            if t >= s:
-                break
-            combo_keys = _pack_combos(rows, s, t, bits).reshape(-1, rows.shape[0])
-            hit |= np.isin(combo_keys, keys_by_size[t]).any(axis=0)
-        doomed[sel] = hit
-    return drop_rows(mat, sizes, doomed)
-
-
-def _prune_supersets_py(mat, sizes):
-    edges = matrix_to_edges(mat, sizes)
-    smaller: dict[int, set] = {}
-    for e in edges:
-        smaller.setdefault(len(e), set()).add(e)
-    present = sorted(smaller)
-    doomed = np.zeros(len(edges), dtype=bool)
-    for i, e in enumerate(edges):
-        for t in present:
-            if t >= len(e):
-                break
-            if any(sub in smaller[t] for sub in combinations(e, t)):
-                doomed[i] = True
-                break
+    for j, t in enumerate(present[:-1]):
+        larger = present[j + 1 :]
+        subsets = [_subsets(rows[s], t) for s in larger]
+        # the size-t rows and the t-subsets of the larger rows are keyed
+        # in one call so that their keys are comparable
+        keys = _row_keys(np.concatenate([rows[t].T, *subsets], axis=1).T, bits)
+        k = len(idx[t])
+        small = np.sort(keys[:k])
+        pos = np.searchsorted(small, keys[k:]).clip(max=k - 1)
+        owners = [np.tile(idx[s], sub.shape[1] // len(idx[s])) for s, sub in zip(larger, subsets)]
+        doomed[np.concatenate(owners)[small[pos] == keys[k:]]] = True
     return drop_rows(mat, sizes, doomed)
 
 
@@ -154,25 +154,16 @@ def max_norm_degree(
     are compared exactly with :func:`hypermis.core.deg_less`.
     """
     best: tuple[int, int] | None = None
-    present = sorted(set(int(s) for s in sizes if s >= 2))
-    if not present:
-        return None
+    present = np.flatnonzero(np.bincount(sizes))
     bits = max(n.bit_length(), 1)
-    use_np = _packable(present[-1] - 1, n)
-    for s in present:
-        rows = mat[sizes == s]
+    for s in present[present >= 2].tolist():
+        rows = mat[sizes == s, :s]
         for t in range(1, s):
-            if use_np:
-                keys = _pack_combos(rows, s, t, bits)
-                _, counts = np.unique(keys, return_counts=True)
-                c = int(counts.max())
+            if t == 1:
+                c = int(np.bincount(rows.ravel()).max())
             else:
-                tally: dict[tuple, int] = {}
-                for row in rows:
-                    for x in combinations(row[:s], t):
-                        key = tuple(int(v) for v in x)
-                        tally[key] = tally.get(key, 0) + 1
-                c = max(tally.values())
+                keys = _row_keys(_subsets(rows, t).T, bits)
+                c = int(np.unique(keys, return_counts=True)[1].max())
             pair = (c, s - t)
             if best is None or deg_less(best, pair):
                 best = pair

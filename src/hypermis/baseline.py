@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Hypergraph, is_maximal_independent, vertex_tuple
+from .core import Hypergraph
 
 ENUM_LIMIT = 20
 
@@ -84,10 +84,3 @@ def enumerate_all_mis(h: Hypergraph) -> list[tuple[int, ...]]:
     out.sort()
     return out
 
-
-def assert_is_mis(h: Hypergraph, s: Iterable[int]) -> tuple[int, ...]:
-    """Validate a claimed MIS; returns it canonicalized or raises."""
-    st = vertex_tuple(s)
-    if not is_maximal_independent(h, st):
-        raise AssertionError(f"{st} is not a maximal independent set")
-    return st

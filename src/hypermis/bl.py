@@ -128,12 +128,22 @@ class _State:
         return len(self.sizes)
 
 
-def _make_state(h: Hypergraph, vertex_set: Iterable[int] | None) -> _State:
+def vertex_array(vertex_set: Iterable[int] | None, n: int) -> np.ndarray:
+    """Sorted distinct ids of `vertex_set` (all of 1..n for None) as int64;
+    ValueError names an id outside 1..n, which is no vertex."""
     if vertex_set is None:
-        alive = np.arange(1, h.n + 1, dtype=np.int64)
-        edges = h.edges
-    else:
-        alive = np.array(sorted(set(vertex_set)), dtype=np.int64)
+        return np.arange(1, n + 1, dtype=np.int64)
+    ids = sorted(set(vertex_set))
+    if ids and (ids[0] < 1 or ids[-1] > n):
+        bad = ids[0] if ids[0] < 1 else ids[-1]
+        raise ValueError(f"vertex_set id {bad} outside the vertex range [1, {n}]")
+    return np.array(ids, dtype=np.int64)
+
+
+def _make_state(h: Hypergraph, vertex_set: Iterable[int] | None) -> _State:
+    alive = vertex_array(vertex_set, h.n)
+    edges = h.edges
+    if vertex_set is not None:
         inside = set(int(v) for v in alive)
         edges = [e for e in h.edges if inside.issuperset(e)]
     mat, sizes = ops.edge_matrix(edges)

@@ -109,9 +109,7 @@ def _solve_config(args, h: Hypergraph) -> dict:
             cfg.update(retries=scfg.max_retries_per_round, fail_policy=scfg.fail_policy)
             return cfg
         params = sbl.derive_params(h.n, h.m, scfg)
-        max_rounds = scfg.max_rounds or max(
-            1, math.ceil(2.0 * math.log2(h.n) / params.p)
-        )
+        max_rounds = scfg.max_rounds or sbl.default_max_rounds(h.n, params.p)
         r = 2.0 * math.log2(h.n) / params.p
         d_analysis = math.log2(r * max(h.m, 1) * h.n) / math.log2(1.0 / params.p) - 1.0
         cfg.update(

@@ -215,11 +215,6 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     return DegreeProfile(dim=d, delta_i=delta_i, delta=float(best_overall[0]) ** (1.0 / best_overall[1]))
 
 
-def max_degree(h: Hypergraph) -> float:
-    """Overall maximum normalized degree (delta)."""
-    return degree_profile(h).delta
-
-
 def is_independent(h: Hypergraph, s: Iterable[int]) -> bool:
     """True iff no edge is fully contained in s."""
     inside = set(s)

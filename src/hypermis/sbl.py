@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .baseline import greedy_mis_over
-from .bl import STATUS_OK, BlConfig, run_bl
+from .bl import STATUS_OK, BlConfig, run_bl, vertex_array
 from .core import (
     Hypergraph,
     InternalInvariantError,
@@ -228,12 +228,10 @@ def sbl_round(
     allowed resample trips the dimension gate, returns
     (None, None, h, vertex_set, record) and the caller applies
     cfg.fail_policy.  The failed path leaves the hypergraph untouched.
+    Raises RoundLimitError when the inner marking run hits its round cap,
+    and ValueError when `vertex_set` holds an id outside 1..n.
     """
-    alive = (
-        np.arange(1, h.n + 1, dtype=np.int64)
-        if vertex_set is None
-        else np.array(sorted(set(vertex_set)), dtype=np.int64)
-    )
+    alive = vertex_array(vertex_set, h.n)
     sample = sampler or _default_sampler(cfg, p, round_index)
 
     chosen = None
@@ -313,6 +311,12 @@ EXIT_STOP_THRESHOLD = "stop-threshold"
 EXIT_MAX_ROUNDS = "max-rounds"
 EXIT_DIMENSION_GATE = "dimension-gate"
 EXIT_BL_DIRECT = "bl-direct"
+EXIT_INNER_ROUND_LIMIT = "inner-round-limit"
+
+
+def default_max_rounds(n: int, p: float) -> int:
+    """Sampling-round cap: ceil(2 log2(n) / p), at least 1."""
+    return max(1, math.ceil(2.0 * math.log2(n) / p))
 
 
 def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
@@ -321,8 +325,10 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
     Parameters are fixed from the initial vertex count and never
     recomputed as the vertex set shrinks.  Both the vertex-count
     threshold and the round cap bound the loop; whichever fires is
-    recorded in exit_reason.  On ok the result is checked to be a
-    maximal independent set of the input.
+    recorded in exit_reason, as is an exhausted dimension gate or an
+    inner round cap hit, which raise instead under fail_policy "abort".
+    On ok the result is checked to be a maximal independent set of the
+    input.
     """
     hn = normalize(h)
     # a 0- or 1-vertex instance has dimension <= 1 and always takes the
@@ -345,9 +351,7 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
             _final_check(h, result.mis)
         return result
 
-    max_rounds = cfg.max_rounds
-    if max_rounds is None:
-        max_rounds = max(1, math.ceil(2.0 * math.log2(hn.n) / params.p))
+    max_rounds = cfg.max_rounds or default_max_rounds(hn.n, params.p)
 
     cur = hn
     alive: tuple[int, ...] = tuple(hn.vertices)
@@ -360,9 +364,15 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
         if rnd >= max_rounds:
             exit_reason = EXIT_MAX_ROUNDS
             break
-        blue, red, cur, alive, rec = sbl_round(
-            cur, params.p, params.d, cfg, rnd, vertex_set=alive
-        )
+        try:
+            blue, red, cur, alive, rec = sbl_round(
+                cur, params.p, params.d, cfg, rnd, vertex_set=alive
+            )
+        except RoundLimitError:
+            if cfg.fail_policy == FAIL_ABORT:
+                raise
+            exit_reason = EXIT_INNER_ROUND_LIMIT
+            break
         records.append(rec)
         retries_total += rec.retries
         if blue is None:

@@ -143,6 +143,14 @@ class TestRunBl:
         assert res.status == STATUS_OK
         assert res.mis in {(3,), (4,)}
 
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_vertex_set_id_out_of_range(self, bad):
+        # H0 has n = 5: 0 and n + 1 are not vertices
+        with pytest.raises(ValueError, match=f"id {bad} "):
+            run_bl(H0, BlConfig(seed=2), vertex_set=[1, 2, bad])
+        with pytest.raises(ValueError, match=f"id {bad} "):
+            bl_round(H0, 0.5, ForcedMarks([]), vertex_set=[bad, 3])
+
     def test_deterministic(self):
         for h in instance_stream(10):
             a = run_bl(h, BlConfig(seed=123))

@@ -7,16 +7,21 @@ from conftest import H0
 from hypermis.baseline import enumerate_all_mis
 from hypermis.core import Hypergraph, is_maximal_independent
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
+from hypermis import sbl
+from hypermis.bl import STATUS_ROUND_LIMIT, SolverResult
 from hypermis.sbl import (
     EXIT_BL_DIRECT,
     EXIT_DIMENSION_GATE,
+    EXIT_INNER_ROUND_LIMIT,
     EXIT_STOP_THRESHOLD,
     FAIL_ABORT,
+    RoundLimitError,
     FALLBACK_BL_DIRECT,
     FALLBACK_GREEDY,
     DegenerateParamsError,
     DimensionGateExhausted,
     SblConfig,
+    default_max_rounds,
     derive_params,
     run_sbl,
     sbl_round,
@@ -91,6 +96,13 @@ class TestSblRound:
             # red 4 removes {3,4} and {4,5}; {1,2,3} shrinks to {1,2}
             assert set(nxt.edges) == {(1, 2)}
         assert rec.induced_edges == 1 and rec.induced_dim == 2
+
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_vertex_set_id_out_of_range(self, bad):
+        # H0 has n = 5: 0 and n + 1 are not vertices
+        cfg = SblConfig(seed=1, p_override=0.5, d_cap_override=3)
+        with pytest.raises(ValueError, match=f"id {bad} "):
+            sbl_round(H0, 0.5, 3, cfg, 0, vertex_set=[1, bad], sampler=force([]))
 
     def test_empty_sample_is_identity(self):
         cfg = SblConfig(seed=1, p_override=0.5, d_cap_override=3)
@@ -176,6 +188,29 @@ class TestRunSbl:
         assert res.status == "ok"
         assert res.exit_reason == EXIT_DIMENSION_GATE
         assert is_maximal_independent(h, res.mis)
+
+    def test_inner_round_limit_follows_fail_policy(self, monkeypatch):
+        def round_limited(h, cfg, vertex_set=None):
+            return SolverResult(mis=(), rounds=[], status=STATUS_ROUND_LIMIT)
+
+        monkeypatch.setattr(sbl, "run_bl", round_limited)
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
+        cfg = SblConfig(seed=9, p_override=0.35, d_cap_override=3)
+        res = run_sbl(h, cfg)
+        assert res.status == "ok"
+        assert res.exit_reason == EXIT_INNER_ROUND_LIMIT
+        assert res.rounds == []
+        assert is_maximal_independent(h, res.mis)
+        with pytest.raises(RoundLimitError):
+            run_sbl(
+                h,
+                SblConfig(seed=9, p_override=0.35, d_cap_override=3, fail_policy=FAIL_ABORT),
+            )
+
+    def test_default_max_rounds(self):
+        # ceil(2 * log2(1024) / 0.3) = ceil(66.67)
+        assert default_max_rounds(1024, 0.3) == 67
+        assert default_max_rounds(2, 0.999) == 3
 
     def test_max_rounds_cap_recorded(self):
         h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
