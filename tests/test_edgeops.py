@@ -23,12 +23,11 @@ FIXED = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def hypergraphs(draw, n=None, dims=(2, 8)):
+def hypergraphs(draw):
     """Edges over a small pool of ids drawn from 1..n, so edges overlap,
     repeat and nest."""
-    if n is None:
-        n = draw(st.sampled_from([8, 300, 4096, WIDE_N]))
-    dim = draw(st.integers(*dims))
+    n = draw(st.sampled_from([8, 300, 4096, WIDE_N]))
+    dim = draw(st.integers(2, 8))
     pool = draw(st.lists(st.integers(1, n), min_size=dim, max_size=dim + 4, unique=True))
     edges = draw(
         st.lists(
