@@ -18,7 +18,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import deg_less
+
+def deg_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Exact comparison of normalized degrees c^(1/j), given as (c, j) pairs."""
+    c1, j1 = a
+    c2, j2 = b
+    return c1 ** j2 < c2 ** j1
 
 
 def edge_matrix(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -143,31 +148,50 @@ def prune_supersets(
     return drop_rows(mat, sizes, doomed)
 
 
-def max_norm_degree(
+def degree_pairs(
     mat: np.ndarray, sizes: np.ndarray, n: int
-) -> tuple[int, int] | None:
-    """Best (count, j) pair over all subset degrees, None if no edge of
-    size >= 2 exists.
+) -> dict[int, tuple[int, int]]:
+    """Best (count, j) pair for each edge size s >= 2 present, ascending.
 
     count is the number of size-s edges sharing some subset x of size
     s - j; the normalized degree it encodes is count^(1/j).  Candidates
-    are compared exactly with :func:`hypermis.core.deg_less`.
+    are compared exactly with :func:`deg_less`; among equal degrees the
+    largest j wins.  The t = 1 count allocates one counter per id up to
+    the largest id present.
     """
-    best: tuple[int, int] | None = None
+    best: dict[int, tuple[int, int]] = {}
     present = np.flatnonzero(np.bincount(sizes))
     bits = max(n.bit_length(), 1)
     for s in present[present >= 2].tolist():
         rows = mat[sizes == s, :s]
+        pairs = []
         for t in range(1, s):
             if t == 1:
                 c = int(np.bincount(rows.ravel()).max())
             else:
                 keys = _row_keys(_subsets(rows, t).T, bits)
                 c = int(np.unique(keys, return_counts=True)[1].max())
-            pair = (c, s - t)
-            if best is None or deg_less(best, pair):
-                best = pair
+            pairs.append((c, s - t))
+        best[s] = best_pair(pairs)
     return best
+
+
+def best_pair(pairs) -> tuple[int, int] | None:
+    """The first largest of an iterable of (count, j) degree pairs, None
+    when it is empty."""
+    best: tuple[int, int] | None = None
+    for pair in pairs:
+        if best is None or deg_less(best, pair):
+            best = pair
+    return best
+
+
+def max_norm_degree(
+    mat: np.ndarray, sizes: np.ndarray, n: int
+) -> tuple[int, int] | None:
+    """Best (count, j) pair over all subset degrees, None if no edge of
+    size >= 2 exists; among equal degrees the smallest edge size wins."""
+    return best_pair(degree_pairs(mat, sizes, n).values())
 
 
 def degree_value(pair: tuple[int, int] | None) -> float:

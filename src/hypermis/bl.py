@@ -15,6 +15,12 @@ that computes them once up front.  When no edge of size >= 2 exists,
 delta is taken as 1.0 so the round is still well-defined (any such round
 only has singleton edges, which die in cleanup regardless of the coins).
 
+Edges live in the padded matrix of :mod:`hypermis._edgeops` (a
+:class:`State`), built by :func:`make_state`, which restricts the input
+to the vertex set and normalizes it; the sampling solver runs its rounds
+on the same state.  The result is checked once, against the input, with
+:func:`hypermis.core.is_maximal_independent`.
+
 Randomness is counter-based on (seed, round, vertex id): results are
 bit-identical no matter how marking is scheduled.
 """
@@ -24,13 +30,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import _edgeops as ops
 from . import rng
-from .core import Hypergraph, InternalInvariantError, normalize
+from .core import Hypergraph, InternalInvariantError, is_maximal_independent
 
 P_MODE_FIXED = "fixed"  # probability frozen from the input hypergraph
 P_MODE_RECOMPUTE = "recompute"  # probability refreshed every round
@@ -117,7 +123,11 @@ class ForcedMarks:
 
 
 @dataclass
-class _State:
+class State:
+    """Working hypergraph of both solvers: edge i holds the sorted ids
+    mat[i, :sizes[i]] (see :mod:`hypermis._edgeops`); `alive` lists the
+    vertices still undecided."""
+
     n: int
     alive: np.ndarray  # sorted ids, int64
     mat: np.ndarray
@@ -140,17 +150,23 @@ def vertex_array(vertex_set: Iterable[int] | None, n: int) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
-def _make_state(h: Hypergraph, vertex_set: Iterable[int] | None) -> _State:
+def make_state(h: Hypergraph, vertex_set: Iterable[int] | None = None) -> State:
+    """Normalized state of `h` restricted to `vertex_set` (all of 1..n for
+    None): the edges inside it, deduplicated, with every edge that
+    strictly contains another dropped."""
     alive = vertex_array(vertex_set, h.n)
-    edges = h.edges
+    mat, sizes = ops.edge_matrix(h.edges)
     if vertex_set is not None:
-        inside = set(int(v) for v in alive)
-        edges = [e for e in h.edges if inside.issuperset(e)]
-    mat, sizes = ops.edge_matrix(edges)
-    return _State(n=h.n, alive=alive, mat=mat, sizes=sizes)
+        inside = np.zeros(h.n + 1, dtype=bool)
+        inside[alive] = True
+        leaves = (~inside[mat] & ops.valid_mask(mat, sizes)).any(axis=1)
+        mat, sizes = ops.drop_rows(mat, sizes, leaves)
+    mat, sizes = ops.dedupe_rows(mat, sizes)
+    mat, sizes = ops.prune_supersets(mat, sizes, h.n)
+    return State(n=h.n, alive=alive, mat=mat, sizes=sizes)
 
 
-def _round_p(state: _State, cfg: BlConfig, frozen: tuple[float, float] | None):
+def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
     """Resolve (delta, p) for the round about to run."""
     pair = ops.max_norm_degree(state.mat, state.sizes, state.n)
     delta = ops.degree_value(pair)
@@ -162,7 +178,7 @@ def _round_p(state: _State, cfg: BlConfig, frozen: tuple[float, float] | None):
     return delta, 1.0 / (2 ** (d + 1) * delta)
 
 
-def _mark_round(state: _State, p: float, stream, delta: float, rnd: int):
+def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
     """One mark/unmark/cleanup round.  Returns (next_state, record, added)."""
     alive = state.alive
     u = stream.uniforms(alive)
@@ -195,7 +211,7 @@ def _mark_round(state: _State, p: float, stream, delta: float, rnd: int):
     goneflags = addflags
     goneflags[victims] = True
     next_alive = alive[~goneflags[alive]]
-    nxt = _State(n=state.n, alive=next_alive, mat=mat, sizes=sizes)
+    nxt = State(n=state.n, alive=next_alive, mat=mat, sizes=sizes)
     rec = BlRoundRecord(
         round=rnd,
         marked=tuple(int(v) for v in marked),
@@ -215,14 +231,15 @@ def bl_round(
     stream,
     vertex_set: Iterable[int] | None = None,
 ) -> tuple[tuple[int, ...], Hypergraph, tuple[int, ...], BlRoundRecord]:
-    """Run a single round on a normalized hypergraph.
+    """Run a single round on `h` restricted to `vertex_set`, normalized
+    first.
 
     Returns (added, next_hypergraph, next_vertex_set, record).  The next
     hypergraph keeps the ambient id range; the surviving vertex set is
     returned alongside because committed vertices and singleton-cleanup
     victims leave it.
     """
-    state = _make_state(h, vertex_set)
+    state = make_state(h, vertex_set)
     pair = ops.max_norm_degree(state.mat, state.sizes, state.n)
     nxt, rec, added = _mark_round(state, p, stream, ops.degree_value(pair), 0)
     next_h = Hypergraph(h.n, ops.matrix_to_edges(nxt.mat, nxt.sizes))
@@ -232,17 +249,6 @@ def bl_round(
         tuple(int(v) for v in nxt.alive),
         rec,
     )
-
-
-def _maximal_on(edges: Sequence[tuple[int, ...]], vertices: Iterable[int], s: set[int]) -> bool:
-    blocked: set[int] = set()
-    for e in edges:
-        missing = [v for v in e if v not in s]
-        if not missing:
-            return False
-        if len(missing) == 1:
-            blocked.add(missing[0])
-    return all(v in s or v in blocked for v in vertices)
 
 
 def run_bl(
@@ -258,10 +264,8 @@ def run_bl(
     maximal independent set of the input (restricted to `vertex_set`
     when one is given).
     """
-    hn = normalize(h)
-    state = _make_state(hn, vertex_set)
-    input_edges = list(hn.edges)
-    input_vertices = [int(v) for v in state.alive]
+    state = make_state(h, vertex_set)
+    vertices = state.alive
     max_rounds = cfg.max_rounds or default_max_rounds(len(state.alive))
 
     frozen = None
@@ -298,6 +302,6 @@ def run_bl(
 
     status = STATUS_OK if len(state.alive) == 0 else STATUS_ROUND_LIMIT
     result = SolverResult(mis=tuple(sorted(mis)), rounds=records, status=status)
-    if status == STATUS_OK and not _maximal_on(input_edges, input_vertices, set(result.mis)):
+    if status == STATUS_OK and not is_maximal_independent(h, result.mis, vertices.tolist()):
         raise InternalInvariantError("marking solver produced a non-maximal set")
     return result

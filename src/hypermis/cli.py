@@ -39,12 +39,9 @@ def _echo_config(cfg: dict) -> None:
 
 
 def _edge_bound_warning(h: Hypergraph) -> None:
-    log1 = math.log2(h.n) if h.n >= 2 else 0.0
-    log2_ = math.log2(log1) if log1 > 0 else 0.0
-    log3 = math.log2(log2_) if log2_ > 0 else 0.0
-    if log3 <= 0:
-        return  # below the asymptotic regime, the bound says nothing
-    beta = log2_ / (8.0 * log3 * log3)
+    beta = sbl.edge_bound_beta(h.n)
+    if beta is None:
+        return
     cap = float(h.n) ** beta
     if h.m > cap:
         print(

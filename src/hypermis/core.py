@@ -19,6 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
+from ._edgeops import best_pair, degree_pairs, degree_value, edge_matrix, valid_mask
+
 
 class EmptyEdgeError(ValueError):
     """An edge with no vertices was supplied (instance is unsatisfiable)."""
@@ -147,13 +151,6 @@ def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...
     return sorted(out)
 
 
-def deg_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Exact comparison of normalized degrees c^(1/j), given as (c, j) pairs."""
-    c1, j1 = a
-    c2, j2 = b
-    return c1 ** j2 < c2 ** j1
-
-
 @dataclass(frozen=True)
 class DegreeProfile:
     """Per-dimension maximum normalized degrees.
@@ -168,51 +165,25 @@ class DegreeProfile:
     delta: float
 
 
-def _subset_edge_counts(h: Hypergraph) -> dict[int, dict[tuple[int, ...], int]]:
-    """counts[s][x] = number of size-s edges containing the set x.
-
-    Only non-empty proper subsets of edges appear; every other x has
-    count 0 and cannot attain a degree maximum.
-    """
-    counts: dict[int, dict[tuple[int, ...], int]] = {}
-    for e in h.edges:
-        s = len(e)
-        if s < 2:
-            continue
-        per = counts.setdefault(s, {})
-        for t in range(1, s):
-            for x in combinations(e, t):
-                per[x] = per.get(x, 0) + 1
-    return counts
-
-
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     """Compute delta_i for 2 <= i <= dim and the overall delta.
 
     Requires at least one edge of size >= 2 (otherwise the quantities
     are undefined and NoEdgesError is raised); the input should be
-    normalized so edge multiplicities do not inflate counts.
+    normalized so edge multiplicities do not inflate counts.  The ids
+    present are relabelled to 1..k first, so memory follows the edges,
+    not n.
     """
-    counts = _subset_edge_counts(h)
-    if not counts:
+    mat, sizes = edge_matrix(h.edges)
+    valid = valid_mask(mat, sizes)
+    ids, rank = np.unique(mat[valid], return_inverse=True)
+    mat[valid] = rank + 1
+    pairs = degree_pairs(mat, sizes, len(ids))
+    if not pairs:
         raise NoEdgesError("no edge of size >= 2")
-    d = h.dim
-    delta_i: dict[int, float] = {}
-    best_overall: tuple[int, int] | None = None
-    for i in range(2, d + 1):
-        best: tuple[int, int] | None = None
-        for x, c in counts.get(i, {}).items():
-            pair = (c, i - len(x))
-            if best is None or deg_less(best, pair):
-                best = pair
-        if best is None:
-            delta_i[i] = 0.0
-            continue
-        delta_i[i] = float(best[0]) ** (1.0 / best[1])
-        if best_overall is None or deg_less(best_overall, best):
-            best_overall = best
-    assert best_overall is not None
-    return DegreeProfile(dim=d, delta_i=delta_i, delta=float(best_overall[0]) ** (1.0 / best_overall[1]))
+    delta_i = dict.fromkeys(range(2, h.dim + 1), 0.0)
+    delta_i.update((i, degree_value(pair)) for i, pair in pairs.items())
+    return DegreeProfile(dim=h.dim, delta_i=delta_i, delta=degree_value(best_pair(pairs.values())))
 
 
 def is_independent(h: Hypergraph, s: Iterable[int]) -> bool:
@@ -221,9 +192,16 @@ def is_independent(h: Hypergraph, s: Iterable[int]) -> bool:
     return not any(inside.issuperset(e) for e in h.edges)
 
 
-def is_maximal_independent(h: Hypergraph, s: Iterable[int]) -> bool:
-    """True iff s is independent and every vertex outside s is blocked,
-    i.e. adding it would complete some edge."""
+def is_maximal_independent(
+    h: Hypergraph, s: Iterable[int], vertices: Iterable[int] | None = None
+) -> bool:
+    """True iff s is independent and every vertex of `vertices` (default
+    1..n) outside s is blocked, i.e. adding it would complete some edge.
+
+    For s inside `vertices` this is maximality in the sub-hypergraph
+    induced on `vertices`: an edge leaving `vertices` has a vertex
+    outside s, so it can only block vertices outside the range.
+    """
     inside = set(s)
     blocked: set[int] = set()
     for e in h.edges:
@@ -232,7 +210,9 @@ def is_maximal_independent(h: Hypergraph, s: Iterable[int]) -> bool:
             return False
         if len(missing) == 1:
             blocked.add(missing[0])
-    return all(v in inside or v in blocked for v in h.vertices)
+    if vertices is None:
+        vertices = h.vertices
+    return all(v in inside or v in blocked for v in vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ vertices.  The loop stops once fewer than ceil(1/p^2) vertices remain
 residual hypergraph.  Inputs whose dimension is already <= d skip
 straight to the marking solver.
 
+The working hypergraph is the marking solver's matrix state
+(:class:`hypermis.bl.State`), built once and carried across rounds:
+inducing and the red drop are row masks, the blue shrink deletes ids from
+the rows, and the same dedupe and superset prune as in a marking round
+keep it normalized.  Only the few induced rows become a Hypergraph for
+the inner marking run, and only the residual becomes tuples, once, for
+the greedy pass.
+
 Default parameters follow the asymptotic recipe p = n^(-1/log2^(3) n)
 and d = log2^(2) n / (4 log2^(3) n); both are degenerate at desk scale
 (the d formula is < 1 for any feasible n), so d clamps to >= 3 and
@@ -24,20 +32,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
+from . import _edgeops as ops
 from . import rng
 from .baseline import greedy_mis_over
-from .bl import STATUS_OK, BlConfig, run_bl, vertex_array
-from .core import (
-    Hypergraph,
-    InternalInvariantError,
-    is_independent,
-    is_maximal_independent,
-    normalize,
-)
+from .bl import STATUS_OK, BlConfig, State, make_state, run_bl
+from .core import Hypergraph, InternalInvariantError, is_independent, is_maximal_independent
 
 FAIL_ABORT = "abort"
 FAIL_FALLBACK_GREEDY = "fallback-greedy"
@@ -96,21 +99,33 @@ class SblParams:
     within_edge_bound: bool
 
 
+def _loglog(n: int) -> tuple[float, float]:
+    """(log2^(2) n, log2^(3) n), each 0.0 where its argument is <= 1."""
+    log2_ = math.log2(math.log2(n)) if n > 2 else 0.0
+    return log2_, math.log2(log2_) if log2_ > 0 else 0.0
+
+
+def edge_bound_beta(n: int) -> float | None:
+    """Exponent of the analyzed edge-count regime m <= n^beta,
+    beta = log2^(2) n / (8 (log2^(3) n)^2); None when log2^(3) n <= 0
+    (n <= 4), below the asymptotic regime, where the bound says nothing."""
+    log2_, log3 = _loglog(n)
+    return log2_ / (8.0 * log3 * log3) if log3 > 0 else None
+
+
 def derive_params(n: int, m: int, cfg: SblConfig) -> SblParams:
     """Resolve (p, d, stop_threshold) and evaluate the edge-count check.
 
     p = 1/n^alpha with alpha = 1/log2^(3) n, d = floor of
     log2^(2) n / (4 log2^(3) n) clamped to >= 3, stop = ceil(1/p^2), and
-    the edge bound asks m <= n^beta with
-    beta = log2^(2) n / (8 (log2^(3) n)^2).  Raises DegenerateParamsError
+    the edge bound asks m <= n^beta (:func:`edge_bound_beta`; always
+    within when the bound is vacuous).  Raises DegenerateParamsError
     when a formula needs log2^(3) n > 0 (i.e. n >= 5) and no override
     covers it.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    log1 = math.log2(n)
-    log2_ = math.log2(log1) if log1 > 0 else float("-inf")
-    log3 = math.log2(log2_) if log2_ > 0 else float("-inf")
+    log2_, log3 = _loglog(n)
 
     if cfg.p_override is not None:
         p = cfg.p_override
@@ -139,11 +154,8 @@ def derive_params(n: int, m: int, cfg: SblConfig) -> SblParams:
     if stop is None:
         stop = math.ceil(1.0 / (p * p))
 
-    if log3 == 0 or not math.isfinite(log3):
-        within = True  # below the asymptotic regime the bound is vacuous
-    else:
-        beta = log2_ / (8.0 * log3 * log3)
-        within = m <= float(n) ** beta
+    beta = edge_bound_beta(n)
+    within = beta is None or m <= float(n) ** beta
     return SblParams(p=p, d=d, stop_threshold=stop, within_edge_bound=within)
 
 
@@ -214,97 +226,81 @@ def _default_sampler(cfg: SblConfig, p: float, round_index: int) -> Sampler:
 
 
 def sbl_round(
-    h: Hypergraph,
+    state: State,
     p: float,
     d: int,
     cfg: SblConfig,
     round_index: int,
-    vertex_set: Iterable[int] | None = None,
     sampler: Sampler | None = None,
 ):
-    """One sample → gate → mark → filter round.
+    """One sample → gate → mark → filter round on `state`, as built by
+    :func:`hypermis.bl.make_state` or returned by the previous round.
 
-    Returns (blue, red, next_h, next_vertex_set, record); when every
+    Returns (blue, red, next_state, next_vertex_set, record); when every
     allowed resample trips the dimension gate, returns
-    (None, None, h, vertex_set, record) and the caller applies
-    cfg.fail_policy.  The failed path leaves the hypergraph untouched.
-    Raises RoundLimitError when the inner marking run hits its round cap,
-    and ValueError when `vertex_set` holds an id outside 1..n.
+    (None, None, state, vertex_set, record) and the caller applies
+    cfg.fail_policy.  The failed path leaves the state untouched.
+    Raises RoundLimitError when the inner marking run hits its round cap.
     """
-    alive = vertex_array(vertex_set, h.n)
+    alive = state.alive
     sample = sampler or _default_sampler(cfg, p, round_index)
-
-    chosen = None
-    retries = 0
+    valid = ops.valid_mask(state.mat, state.sizes)
     for retry in range(cfg.max_retries_per_round + 1):
-        mask = sample(retry, alive)
-        sampled = alive[mask]
-        inside = set(int(v) for v in sampled)
-        induced = [e for e in h.edges if inside.issuperset(e)]
-        induced_dim = max((len(e) for e in induced), default=0)
-        retries = retry
+        sampled = alive[sample(retry, alive)]
+        in_sample = np.zeros(state.n + 1, dtype=bool)
+        in_sample[sampled] = True
+        induced = (in_sample[state.mat] | ~valid).all(axis=1)
+        induced_dim = int(state.sizes[induced].max(initial=0))
         if induced_dim <= d:
-            chosen = (sampled, inside, induced, induced_dim)
             break
 
-    if chosen is None:
-        record = SblRoundRecord(
-            round=round_index,
-            sampled=tuple(int(v) for v in sampled),
-            induced_edges=len(induced),
-            induced_dim=induced_dim,
-            retries=retries,
-            bl_summary=None,
-            edges_removed_red=0,
-            edges_shrunk=0,
-            remaining_vertices=len(alive),
-            remaining_edges=h.m,
-        )
-        return None, None, h, tuple(int(v) for v in alive), record
+    # the record of a rejected round; a completed round fills in the rest
+    rec = SblRoundRecord(
+        round=round_index,
+        sampled=tuple(sampled.tolist()),
+        induced_edges=int(induced.sum()),
+        induced_dim=induced_dim,
+        retries=retry,
+        bl_summary=None,
+        edges_removed_red=0,
+        edges_shrunk=0,
+        remaining_vertices=len(alive),
+        remaining_edges=state.m,
+    )
+    if induced_dim > d:
+        return None, None, state, tuple(alive.tolist()), rec
 
-    sampled, inside, induced, induced_dim = chosen
-    bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, round_index, retries))
-    bl_res = run_bl(Hypergraph(h.n, induced), bl_cfg, vertex_set=inside)
+    induced_h = Hypergraph(state.n, ops.matrix_to_edges(state.mat[induced], state.sizes[induced]))
+    bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, round_index, retry))
+    bl_res = run_bl(induced_h, bl_cfg, vertex_set=rec.sampled)
     if bl_res.status != STATUS_OK:
         raise RoundLimitError(
             f"inner marking run exceeded its round budget in round {round_index}"
         )
-    blue = set(bl_res.mis)
-    red = inside - blue
+    blue = np.zeros(state.n + 1, dtype=bool)
+    blue[list(bl_res.mis)] = True
+    red = in_sample & ~blue
 
-    next_edges = []
-    removed = 0
-    shrunk = 0
-    for e in h.edges:
-        if any(v in red for v in e):
-            removed += 1
-            continue
-        trimmed = tuple(v for v in e if v not in blue)
-        if not trimmed:
-            raise InternalInvariantError("edge became empty during blue filtering")
-        if len(trimmed) < len(e):
-            shrunk += 1
-        next_edges.append(trimmed)
-
-    next_h = normalize(Hypergraph(h.n, next_edges))
-    next_alive = tuple(int(v) for v in alive if int(v) not in inside)
-    record = SblRoundRecord(
-        round=round_index,
-        sampled=tuple(int(v) for v in sampled),
-        induced_edges=len(induced),
-        induced_dim=induced_dim,
-        retries=retries,
-        bl_summary={
-            "status": bl_res.status,
-            "rounds_used": len(bl_res.rounds),
-            "mis_size": len(blue),
-        },
-        edges_removed_red=removed,
-        edges_shrunk=shrunk,
-        remaining_vertices=len(next_alive),
-        remaining_edges=next_h.m,
-    )
-    return tuple(sorted(blue)), tuple(sorted(red)), next_h, next_alive, record
+    # an edge touching a red vertex can never become fully blue
+    dropped = red[state.mat].any(axis=1)
+    mat, sizes = ops.drop_rows(state.mat, state.sizes, dropped)
+    mat, trimmed = ops.remove_vertices(mat, sizes, blue)
+    if not (trimmed >= 1).all():
+        raise InternalInvariantError("edge became empty during blue filtering")
+    shrunk = int((trimmed < sizes).sum())
+    mat, trimmed = ops.dedupe_rows(mat, trimmed)
+    mat, trimmed = ops.prune_supersets(mat, trimmed, state.n)
+    nxt = State(n=state.n, alive=alive[~in_sample[alive]], mat=mat, sizes=trimmed)
+    rec.bl_summary = {
+        "status": bl_res.status,
+        "rounds_used": len(bl_res.rounds),
+        "mis_size": len(bl_res.mis),
+    }
+    rec.edges_removed_red = int(dropped.sum())
+    rec.edges_shrunk = shrunk
+    rec.remaining_vertices = len(nxt.alive)
+    rec.remaining_edges = nxt.m
+    return bl_res.mis, tuple(np.flatnonzero(red).tolist()), nxt, tuple(nxt.alive.tolist()), rec
 
 
 EXIT_STOP_THRESHOLD = "stop-threshold"
@@ -330,14 +326,15 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
     On ok the result is checked to be a maximal independent set of the
     input.
     """
-    hn = normalize(h)
+    state = make_state(h)
+    dim = int(state.sizes.max(initial=0))
     # a 0- or 1-vertex instance has dimension <= 1 and always takes the
     # direct path; the parameter formulas are not defined there
-    params = derive_params(hn.n, hn.m, cfg) if hn.n >= 2 else None
+    params = derive_params(h.n, state.m, cfg) if h.n >= 2 else None
 
-    if params is None or hn.dim <= params.d:
+    if params is None or dim <= params.d:
         bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, 0, 0))
-        bl_res = run_bl(hn, bl_cfg)
+        bl_res = run_bl(h, bl_cfg)
         result = SblResult(
             mis=bl_res.mis,
             rounds=[],
@@ -351,23 +348,19 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
             _final_check(h, result.mis)
         return result
 
-    max_rounds = cfg.max_rounds or default_max_rounds(hn.n, params.p)
+    max_rounds = cfg.max_rounds or default_max_rounds(h.n, params.p)
 
-    cur = hn
-    alive: tuple[int, ...] = tuple(hn.vertices)
     blues: set[int] = set()
     records: list[SblRoundRecord] = []
     retries_total = 0
     exit_reason = EXIT_STOP_THRESHOLD
     rnd = 0
-    while len(alive) >= params.stop_threshold:
+    while len(state.alive) >= params.stop_threshold:
         if rnd >= max_rounds:
             exit_reason = EXIT_MAX_ROUNDS
             break
         try:
-            blue, red, cur, alive, rec = sbl_round(
-                cur, params.p, params.d, cfg, rnd, vertex_set=alive
-            )
+            blue, _, state, _, rec = sbl_round(state, params.p, params.d, cfg, rnd)
         except RoundLimitError:
             if cfg.fail_policy == FAIL_ABORT:
                 raise
@@ -384,11 +377,11 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
             exit_reason = EXIT_DIMENSION_GATE
             break
         blues.update(blue)
-        if cfg.check_invariants and not is_independent(hn, blues):
+        if cfg.check_invariants and not is_independent(h, blues):
             raise InternalInvariantError("blue set lost independence")
         rnd += 1
 
-    residual = greedy_mis_over(cur.edges, alive)
+    residual = greedy_mis_over(ops.matrix_to_edges(state.mat, state.sizes), state.alive.tolist())
     mis = tuple(sorted(blues.union(residual)))
     result = SblResult(
         mis=mis,

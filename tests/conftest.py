@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from hypothesis import settings
+
 from hypermis.core import Hypergraph
 from hypermis.generate import (
     KIND_LINEAR,
@@ -17,6 +19,11 @@ from hypermis.generate import (
     GenSpec,
     gen,
 )
+
+# every property test draws a fixed number of examples with its own
+# @seed and never replays a stored failure, so runs are reproducible
+settings.register_profile("hypermis", max_examples=60, deadline=None, database=None)
+settings.load_profile("hypermis")
 
 H0 = Hypergraph(5, [(1, 2, 3), (3, 4), (4, 5)])
 

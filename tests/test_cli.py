@@ -89,6 +89,24 @@ class TestSolve:
         assert cfg["p"] == 0.3 and cfg["d_cap"] == 2
         assert "stop_threshold" in cfg and "within_edge_bound" in cfg
 
+    @pytest.mark.parametrize("n, m", [(3, 2), (300, 600)])
+    def test_edge_bound_warning_agrees_with_config(self, n, m, tmp_path, capsys):
+        # n = 3 lies below the asymptotic regime, where the bound says
+        # nothing; at n = 300, n^beta is about 2.3
+        path = tmp_path / "b.hg"
+        run_cli(
+            ["gen", "--n", str(n), "--kind", "uniform-d", "--dim", "2", "--m", str(m),
+             "--seed", "1", "--out", str(path)],
+            capsys,
+        )
+        _, _, err = run_cli(
+            ["solve", str(path), "--algo", "sbl", "--seed", "1", "--p", "0.4", "--d-cap", "3"],
+            capsys,
+        )
+        cfg = json.loads(err.splitlines()[0].removeprefix("config: "))
+        assert cfg["within_edge_bound"] == (n == 3)
+        assert ("warning: m=" in err) == (n != 3)
+
     def test_fixed_p_flag(self, instance, capsys):
         code, out, _ = run_cli(
             ["solve", str(instance), "--algo", "bl", "--seed", "3", "--fixed-p"],

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import pytest
 
 from conftest import H0, instance_stream, naive_degree_profile, naive_is_independent, naive_is_maximal
+from hypermis._edgeops import deg_less
 from hypermis.core import (
     BadArityError,
     EmptyEdgeError,
     Hypergraph,
     NoEdgesError,
-    deg_less,
     degree_profile,
     format_hg,
     induce,
@@ -127,6 +129,21 @@ class TestDegreeProfile:
             for i, val in want.items():
                 assert got.delta_i[i] == pytest.approx(val, rel=1e-12)
             assert got.delta == pytest.approx(max(want.values()), rel=1e-12)
+
+    def test_wide_ids_are_relabelled(self):
+        # ids near 2^40: counting them unrelabelled would need 8 TiB
+        big = 2 ** 40
+        edges = [(big + 1, big + 2, big + 3), (big + 1, big + 2, big + 4), (5, big + 1, big + 5)]
+        tracemalloc.start()
+        try:
+            prof = degree_profile(Hypergraph(big + 5, edges))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # {big+1, big+2} lies in two 3-edges (j = 1); big+1 in three (j = 2)
+        assert prof.delta_i == {2: 0.0, 3: 2.0}
+        assert prof.delta == 2.0
 
     def test_exact_comparisons(self):
         # 8^(1/3) == 4^(1/2) == 2^(1/1): none strictly less than another

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from conftest import naive_degree_profile
@@ -18,8 +18,6 @@ from hypermis import _edgeops as ops
 from hypermis.core import Hypergraph, normalize
 
 WIDE_N = 2 ** 20
-
-FIXED = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
@@ -66,14 +64,12 @@ def oracle_delta(h: Hypergraph) -> float:
 
 
 @seed(1405_1133)
-@FIXED
 @given(hypergraphs())
 def test_prune_supersets_matches_normalize(h):
     assert kernel_normalize(h) == list(normalize(h).edges)
 
 
 @seed(1405_1133)
-@FIXED
 @given(hypergraphs())
 def test_max_norm_degree_matches_naive_profile(h):
     hn = normalize(h)
@@ -81,7 +77,6 @@ def test_max_norm_degree_matches_naive_profile(h):
 
 
 @seed(1405_1133)
-@FIXED
 @given(
     st.integers(1, 8).flatmap(
         lambda t: st.lists(

@@ -7,8 +7,9 @@ from conftest import H0
 from hypermis.baseline import enumerate_all_mis
 from hypermis.core import Hypergraph, is_maximal_independent
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
+from hypermis import _edgeops as ops
 from hypermis import sbl
-from hypermis.bl import STATUS_ROUND_LIMIT, SolverResult
+from hypermis.bl import STATUS_ROUND_LIMIT, SolverResult, make_state
 from hypermis.sbl import (
     EXIT_BL_DIRECT,
     EXIT_DIMENSION_GATE,
@@ -23,6 +24,7 @@ from hypermis.sbl import (
     SblConfig,
     default_max_rounds,
     derive_params,
+    edge_bound_beta,
     run_sbl,
     sbl_round,
 )
@@ -45,6 +47,14 @@ class TestDeriveParams:
         # beta = 4/(8*4) = 1/8, n^beta = 4
         assert not derive_params(2 ** 16, 8, SblConfig(seed=0)).within_edge_bound
         assert derive_params(2 ** 16, 4, SblConfig(seed=0)).within_edge_bound
+
+    def test_edge_bound_vacuous_below_n_5(self):
+        # log2^(3) 3 < 0 and log2^(3) 4 = 0: below the asymptotic regime
+        # no bound applies, so every m is within it
+        assert edge_bound_beta(3) is None and edge_bound_beta(4) is None
+        assert edge_bound_beta(2 ** 16) == 1 / 8
+        cfg = SblConfig(seed=0, p_override=0.4, d_cap_override=3)
+        assert derive_params(3, 3, cfg).within_edge_bound
 
     def test_overrides_pass_through(self):
         params = derive_params(
@@ -77,6 +87,10 @@ class TestDeriveParams:
             SblConfig(seed=0, fail_policy="retry-forever")
 
 
+def edges_of(state):
+    return sorted(ops.matrix_to_edges(state.mat, state.sizes))
+
+
 class TestSblRound:
     def test_forced_sample_h0(self):
         # V' = {3,4} induces the single edge {3,4}; whichever endpoint
@@ -84,40 +98,44 @@ class TestSblRound:
         # leaves {4,5} to shrink to {5}
         cfg = SblConfig(seed=1, p_override=0.5, d_cap_override=3)
         blue, red, nxt, alive, rec = sbl_round(
-            H0, 0.5, 3, cfg, 0, sampler=force([3, 4])
+            make_state(H0), 0.5, 3, cfg, 0, sampler=force([3, 4])
         )
         assert set(blue) | set(red) == {3, 4}
         assert alive == (1, 2, 5)
         if blue == (4,):
-            assert set(nxt.edges) == {(5,)}
+            assert set(edges_of(nxt)) == {(5,)}
             assert rec.edges_removed_red == 2 and rec.edges_shrunk == 1
         else:  # blue == (3,)
             assert blue == (3,)
             # red 4 removes {3,4} and {4,5}; {1,2,3} shrinks to {1,2}
-            assert set(nxt.edges) == {(1, 2)}
+            assert set(edges_of(nxt)) == {(1, 2)}
         assert rec.induced_edges == 1 and rec.induced_dim == 2
 
     @pytest.mark.parametrize("bad", [0, 6])
     def test_vertex_set_id_out_of_range(self, bad):
-        # H0 has n = 5: 0 and n + 1 are not vertices
-        cfg = SblConfig(seed=1, p_override=0.5, d_cap_override=3)
+        # H0 has n = 5: 0 and n + 1 are not vertices; the state a round
+        # runs on is built by make_state, which rejects them
         with pytest.raises(ValueError, match=f"id {bad} "):
-            sbl_round(H0, 0.5, 3, cfg, 0, vertex_set=[1, bad], sampler=force([]))
+            make_state(H0, vertex_set=[1, bad])
 
     def test_empty_sample_is_identity(self):
         cfg = SblConfig(seed=1, p_override=0.5, d_cap_override=3)
-        blue, red, nxt, alive, rec = sbl_round(H0, 0.5, 3, cfg, 0, sampler=force([]))
+        blue, red, nxt, alive, rec = sbl_round(
+            make_state(H0), 0.5, 3, cfg, 0, sampler=force([])
+        )
         assert blue == () and red == ()
-        assert nxt == H0 and alive == (1, 2, 3, 4, 5)
+        assert edges_of(nxt) == list(H0.edges) and alive == (1, 2, 3, 4, 5)
 
     def test_gate_failure_is_noop(self):
         # a sampled 3-edge with cap d=2 trips the gate every retry
         cfg = SblConfig(seed=1, p_override=0.5, d_cap_override=2, max_retries_per_round=3)
+        state = make_state(H0)
         blue, red, nxt, alive, rec = sbl_round(
-            H0, 0.5, 2, cfg, 0, sampler=force([1, 2, 3])
+            state, 0.5, 2, cfg, 0, sampler=force([1, 2, 3])
         )
         assert blue is None and red is None
-        assert nxt == H0 and alive == (1, 2, 3, 4, 5)
+        assert nxt is state and edges_of(nxt) == list(H0.edges)
+        assert alive == (1, 2, 3, 4, 5)
         assert rec.retries == 3 and rec.bl_summary is None
         assert rec.induced_dim == 3
 
@@ -250,15 +268,10 @@ class TestRunSbl:
         h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
         cfg = SblConfig(seed=13, p_override=0.35, d_cap_override=3)
         params = derive_params(h.n, h.m, cfg)
-        cur, alive = h, tuple(h.vertices)
+        state = make_state(h)
         blues, reds = set(), set()
-        from hypermis.core import normalize
-
-        cur = normalize(cur)
         for rnd in range(3):
-            blue, red, cur, alive, rec = sbl_round(
-                cur, params.p, params.d, cfg, rnd, vertex_set=alive
-            )
+            blue, red, state, alive, rec = sbl_round(state, params.p, params.d, cfg, rnd)
             assert blue is not None
             blues |= set(blue)
             reds |= set(red)
