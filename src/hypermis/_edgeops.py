@@ -3,18 +3,21 @@
 Edges live in a padded (m, w) int64 matrix: row i holds the ids of edge i
 sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 1-based, so 0 never collides).  All kernels keep rows sorted and return
-fresh arrays; nothing is mutated in place across round boundaries.
+fresh arrays; the one stateful piece is :class:`SubsetCounts`, the
+subset-count tables the marking solver updates row by row.
 
 Subsets are matched and counted by uint64 keys, one scheme at any edge
 width: ids are bit-packed while the key fits in 63 bits; before a column
 that would overflow it, the partial key is replaced by its dense rank (one
-np.unique pass).  Up to 63 // bit_length(n) ids are packed, never ranked.
+np.unique pass, or a lookup in a fixed table of ranks when keys must stay
+comparable across calls).  Up to 63 // bit_length(n) ids are packed, never
+ranked.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -27,13 +30,10 @@ def deg_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def edge_matrix(edges) -> tuple[np.ndarray, np.ndarray]:
-    m = len(edges)
-    w = max((len(e) for e in edges), default=1)
-    mat = np.zeros((m, w), dtype=np.int64)
-    sizes = np.zeros(m, dtype=np.int64)
-    for i, e in enumerate(edges):
-        sizes[i] = len(e)
-        mat[i, : len(e)] = e
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    mat = np.zeros((len(edges), int(sizes.max(initial=1))), dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    mat[valid_mask(mat, sizes)] = flat
     return mat, sizes
 
 
@@ -47,23 +47,50 @@ def valid_mask(mat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def remove_vertices(
-    mat: np.ndarray, sizes: np.ndarray, gone: np.ndarray
+    mat: np.ndarray, sizes: np.ndarray, drop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delete every id with gone[id] True from every row.
+    """Delete the entries where the (m, w) mask `drop` is True from each row.
 
-    Rows stay sorted (stable compaction); width shrinks to the new
-    maximum size.  Rows may end up empty: callers decide whether that is
-    legal.
+    Rows stay sorted (stable compaction) and keep their width.  Rows may
+    end up empty: callers decide whether that is legal.
     """
     if mat.shape[0] == 0:
         return mat, sizes
-    keep = valid_mask(mat, sizes) & ~gone[mat]
-    new_sizes = keep.sum(axis=1).astype(np.int64)
+    keep = valid_mask(mat, sizes) & ~drop
+    new_sizes = keep.sum(axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")
     out = np.take_along_axis(mat, order, axis=1)
     out[~valid_mask(out, new_sizes)] = 0
-    w = int(new_sizes.max()) if len(new_sizes) else 1
-    return out[:, : max(w, 1)], new_sizes
+    return out, new_sizes
+
+
+def distinct(x: np.ndarray, counts: bool = False):
+    """np.unique of a 1-d array, with the counts if asked: one sort, which
+    costs less than np.unique's overhead on small arrays and its hashing
+    on large ones."""
+    x = np.sort(x)
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    if not counts:
+        return x[first]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(x))
+    return x[starts], ends - starts
+
+
+def member(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries of `x` found in the sorted array `ids`."""
+    if not len(ids):
+        return np.zeros(x.shape, dtype=bool)
+    pos = np.searchsorted(ids, x)
+    return ids[np.minimum(pos, len(ids) - 1, out=pos)] == x
+
+
+def without(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted array `a` without the entries of `b`, all found in `a`."""
+    keep = np.ones(len(a), dtype=bool)
+    keep[np.searchsorted(a, b)] = False
+    return a[keep]
 
 
 def drop_rows(mat, sizes, mask):
@@ -94,21 +121,26 @@ def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
     return rows.T[_combos(rows.shape[1], t)].reshape(t, -1)
 
 
-def _row_keys(rows: np.ndarray, bits: int) -> np.ndarray:
+def _row_keys(rows: np.ndarray, bits: int, ranks: list | None = None) -> np.ndarray:
     """uint64 keys of the rows of a (k, t) id matrix, equal exactly when
     the rows are equal.
 
     Ids must lie below 2^bits, and k * 2^bits below 2^63.  Columns are
     packed left to right while the key fits in 63 bits; before a column
-    that would overflow it, the partial key is replaced by its dense rank
-    among the k rows.  Keys are only comparable within one call.
+    c that would overflow it, the partial key (of the first c columns) is
+    replaced by its dense rank: among the k rows, so that keys are only
+    comparable within one call, or, given `ranks`, in the sorted key
+    table ranks[c], which must hold every such partial key.
     """
     shift = np.uint64(bits)
     key = rows[:, 0].astype(np.uint64)
     used = bits
     for c in range(1, rows.shape[1]):
         if used + bits > 63:
-            uniq, key = np.unique(key, return_inverse=True)
+            if ranks is None:
+                uniq, key = np.unique(key, return_inverse=True)
+            else:
+                uniq, key = ranks[c], np.searchsorted(ranks[c], key)
             key = key.astype(np.uint64)
             used = max((len(uniq) - 1).bit_length(), 1)
         key = (key << shift) | rows[:, c].astype(np.uint64)
@@ -204,3 +236,77 @@ def degree_value(pair: tuple[int, int] | None) -> float:
     if pair is None:
         return 1.0
     return float(pair[0]) ** (1.0 / pair[1])
+
+
+class SubsetCounts:
+    """The counts behind :func:`degree_pairs`, kept up to date as rows
+    are counted and uncounted, so the best degree pair is read without a
+    pass over the rows.
+
+    A t-subset is numbered by its index in keys[t], the sorted keys of
+    the t-subsets of the rows given at construction (:func:`_row_keys`
+    with keys[c] ranking the partial keys, so keys compare across calls).
+    Only subsets of those rows can be counted later, which holds while
+    rows only shrink.  The table of each (s, t) in `tables` holds one
+    count per t-subset, the number of counted size-s rows holding it;
+    the tables lie end to end in `count`, table i from starts[i] to
+    starts[i + 1].  hist[i, c] is the number of subsets of table i
+    counted c times, and top[i] the largest count.
+    """
+
+    def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
+        self.bits = max(n.bit_length(), 1)
+        present = np.flatnonzero(np.bincount(sizes)).tolist()
+        self.keys: list = [None]
+        found = []  # the subset numbers of every (s, t) with size-s rows
+        for t in range(1, max(present, default=1)):
+            larger = [s for s in present if s > t]
+            subsets = [_subsets(mat[sizes == s, :s], t) for s in larger]
+            keys = _row_keys(np.concatenate(subsets, axis=1).T, self.bits, self.keys)
+            keys, ids = np.unique(keys, return_inverse=True)
+            self.keys.append(keys)
+            cuts = np.cumsum([sub.shape[1] for sub in subsets])[:-1]
+            found += [((s, t), part) for s, part in zip(larger, np.split(ids, cuts))]
+        self.tables = [(s, t) for s in range(2, len(self.keys) + 1) for t in range(1, s)]
+        self.starts = np.cumsum([0, *(len(self.keys[t]) for _, t in self.tables)])
+        self.base = dict(zip(self.tables, self.starts.tolist()))
+        ids = [np.zeros(0, np.intp)] + [self.base[st] + part for st, part in found]
+        self.count = np.bincount(np.concatenate(ids), minlength=self.starts[-1])
+        # a count never exceeds the number of rows
+        self.hist = np.zeros((len(self.tables), len(sizes) + 1), dtype=np.int64)
+        self.top = np.zeros(len(self.tables), dtype=np.int64)
+        for i, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            self.hist[i] = np.bincount(self.count[lo:hi], minlength=len(sizes) + 1)
+            self.top[i] = self.count[lo:hi].max(initial=0)
+
+    def add(self, mat: np.ndarray, sizes: np.ndarray, signs: np.ndarray) -> None:
+        """Count (signs[i] = 1) or uncount (-1) the subsets of row i."""
+        ids, steps = [], []
+        for s in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
+            at = sizes == s
+            rows, row_signs = mat[at, :s], signs[at]
+            for t in range(1, s):
+                keys = _row_keys(_subsets(rows, t).T, self.bits, self.keys)
+                ids.append(self.base[s, t] + np.searchsorted(self.keys[t], keys))
+                steps.append(np.tile(row_signs, len(keys) // len(rows)))
+        if not ids:
+            return
+        found = np.concatenate(ids)
+        ids = distinct(found)
+        old = self.count[ids]
+        np.add.at(self.count, found, np.concatenate(steps))
+        new = self.count[ids]
+        table = np.searchsorted(self.starts, ids, side="right") - 1
+        np.add.at(self.hist, (table, old), -1)
+        np.add.at(self.hist, (table, new), 1)
+        np.maximum.at(self.top, table, new)
+        emptied = self.hist[np.arange(len(self.top)), self.top] == 0
+        for i in np.flatnonzero(emptied).tolist():
+            self.top[i] = np.flatnonzero(self.hist[i, : self.top[i]])[-1]
+
+    def best(self, nsize: np.ndarray) -> tuple[int, int] | None:
+        """The pair :func:`max_norm_degree` gives on the counted rows, of
+        which nsize[s] have size s."""
+        return best_pair(
+            (int(self.top[i]), s - t) for i, (s, t) in enumerate(self.tables) if nsize[s]
+        )

@@ -16,10 +16,17 @@ delta is taken as 1.0 so the round is still well-defined (any such round
 only has singleton edges, which die in cleanup regardless of the coins).
 
 Edges live in the padded matrix of :mod:`hypermis._edgeops` (a
-:class:`State`), built by :func:`make_state`, which restricts the input
-to the vertex set and normalizes it; the sampling solver runs its rounds
-on the same state.  The result is checked once, against the input, with
-:func:`hypermis.core.is_maximal_independent`.
+:class:`State`).  :func:`make_state` restricts the input to the vertex
+set and normalizes it once with the full kernels; from then on the state
+is updated in place and a round pays only for the edges it touches: the
+edges a vertex lies in are found through a vertex->edge incidence list,
+:meth:`State.cleanup` shrinks just the edges holding a committed vertex
+and dedupes and prunes them against the live edges sharing one of their
+vertices, and delta is read from subset-count tables updated with those
+edges (reused as is after a round that changed none).  The sampling
+solver runs its rounds on the same state and its inner marking runs on
+the induced part of it.  A run on a Hypergraph checks its result once,
+against the input, with :func:`hypermis.core.is_maximal_independent`.
 
 Randomness is counter-based on (seed, round, vertex id): results are
 bit-identical no matter how marking is scheduled.
@@ -122,20 +129,138 @@ class ForcedMarks:
         return np.array([0.0 if int(v) in self.marked else 1.0 for v in ids])
 
 
-@dataclass
 class State:
-    """Working hypergraph of both solvers: edge i holds the sorted ids
-    mat[i, :sizes[i]] (see :mod:`hypermis._edgeops`); `alive` lists the
-    vertices still undecided."""
+    """Working hypergraph of both solvers, updated in place round by round.
 
-    n: int
-    alive: np.ndarray  # sorted ids, int64
-    mat: np.ndarray
-    sizes: np.ndarray
+    Row i of `rows` holds edge i's ids sorted in its first size[i] columns
+    (zero padded, see :mod:`hypermis._edgeops`).  Rows only shrink, and a
+    row whose live[i] turns False is gone for good; `mat` and `sizes` give
+    the live rows, `m` counts them and nsize[s] counts those of size s.
+    `alive` lists the undecided vertices, sorted.
+
+    The rows holding id verts[k] (the vertices at construction) are
+    inc[ptr[k]:ptr[k + 1]].  An id leaves a row only when it leaves
+    `alive`, and a live row holds only alive ids, so for an alive id the
+    live ones among them are exactly the live rows holding it.  The
+    subset counts behind the degree pair are built on first use and then
+    updated with every row change.
+    """
+
+    def __init__(self, n: int, alive: np.ndarray, mat: np.ndarray, sizes: np.ndarray):
+        """State over normalized rows (no duplicates, none strictly inside
+        another) whose ids lie in `alive`; takes ownership of the arrays."""
+        self.n = n
+        self.alive = alive
+        self.rows = mat
+        self.size = sizes
+        self.live = np.ones(len(sizes), dtype=bool)
+        self.m = len(sizes)
+        self.nsize = np.bincount(sizes, minlength=mat.shape[1] + 1)
+        ids = mat[ops.valid_mask(mat, sizes)]
+        order = np.argsort(ids)
+        self.verts = alive
+        self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
+        self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
+        self.counts: ops.SubsetCounts | None = None
+        self._pair: tuple[int, int] | None = None
+        self._pair_stale = True
 
     @property
-    def m(self) -> int:
-        return len(self.sizes)
+    def mat(self) -> np.ndarray:
+        return self.rows[self.live]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.size[self.live]
+
+    @property
+    def dim(self) -> int:
+        """Largest live row size, 0 without rows."""
+        return int(np.flatnonzero(self.nsize)[-1]) if self.m else 0
+
+    def degree_pair(self) -> tuple[int, int] | None:
+        """:func:`hypermis._edgeops.max_norm_degree` of the live rows."""
+        if self.counts is None:
+            self.counts = ops.SubsetCounts(self.mat, self.sizes, self.n)
+        if self._pair_stale:
+            self._pair = self.counts.best(self.nsize)
+            self._pair_stale = False
+        return self._pair
+
+    def incidences(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, row) for every live row holding ids[k]; ids must be alive."""
+        pos = np.searchsorted(self.verts, ids)
+        lo = self.ptr[pos]
+        cnt = self.ptr[pos + 1] - lo
+        k = np.repeat(np.arange(len(ids)), cnt)
+        rows = self.inc[np.arange(len(k)) + (lo - np.cumsum(cnt) + cnt)[k]]
+        live = self.live[rows]
+        return k[live], rows[live]
+
+    def holders(self, ids: np.ndarray) -> np.ndarray:
+        """The live rows holding any of the alive ids `ids`, ascending."""
+        return ops.distinct(self.incidences(ids)[1])
+
+    def full_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The live rows all of whose ids are among the distinct alive ids
+        `ids`, ascending."""
+        rows, hits = ops.distinct(self.incidences(ids)[1], counts=True)
+        return rows[hits == self.size[rows]]
+
+    def _recount(self, mat: np.ndarray, sizes: np.ndarray, signs: np.ndarray) -> None:
+        """Add (signs[i] = 1) or remove (-1) row i in the size and subset counts."""
+        np.add.at(self.nsize, sizes, signs)
+        if self.counts is not None:
+            self.counts.add(mat, sizes, signs)
+        self._pair_stale = True
+
+    def drop(self, rows: np.ndarray) -> None:
+        """Remove the distinct live rows `rows`."""
+        if len(rows):
+            self._recount(self.rows[rows], self.size[rows], np.full(len(rows), -1))
+            self.live[rows] = False
+            self.m -= len(rows)
+
+    def cleanup(self, gone: np.ndarray):
+        """Delete the sorted alive ids `gone` from every live row and
+        restore the normal form: of rows that became equal the first
+        stays, and a row strictly containing another leaves.
+
+        Only the rows holding a gone id change.  A changed row r can newly
+        lie inside any live row, but it can newly contain or equal only
+        another changed row q (an unchanged q inside r lay strictly inside
+        r's old ids), and then q lies inside r; so it is enough to find,
+        for each changed row, the live rows sharing one of its ids that
+        hold it.  Returns the changed rows and those of them still live.
+        """
+        touched = self.holders(gone) if len(gone) else gone
+        if not len(touched):
+            return touched, touched
+        old, old_size = self.rows[touched], self.size[touched]
+        new, size = ops.remove_vertices(old, old_size, ops.member(old, gone))
+        if not (size >= 1).all():
+            raise InternalInvariantError("edge shrank to empty in a cleanup")
+        self.rows[touched] = new
+        self.size[touched] = size
+        # (r, q, |r & q|) for every changed row r and live row q sharing an
+        # id; q leaves when it holds r, unless they are equal and q is first
+        k, q = self.incidences(new[ops.valid_mask(new, size)])
+        r = np.repeat(touched, size)[k]
+        other = q != r
+        pair, shared = ops.distinct(r[other] * len(self.size) + q[other], counts=True)
+        r, q = np.divmod(pair, len(self.size))
+        inside = shared == self.size[r]
+        doomed = ops.distinct(q[inside & ((shared < self.size[q]) | (r < q))])
+        lost = doomed[~ops.member(doomed, touched)]  # unchanged rows that leave
+        self.live[doomed] = False
+        self.m -= len(doomed)
+        kept = self.live[touched]
+        self._recount(
+            np.concatenate([old, self.rows[lost], new[kept]]),
+            np.concatenate([old_size, self.size[lost], size[kept]]),
+            np.repeat([-1, -1, 1], [len(old), len(lost), int(kept.sum())]),
+        )
+        return touched, touched[kept]
 
 
 def vertex_array(vertex_set: Iterable[int] | None, n: int) -> np.ndarray:
@@ -163,66 +288,47 @@ def make_state(h: Hypergraph, vertex_set: Iterable[int] | None = None) -> State:
         mat, sizes = ops.drop_rows(mat, sizes, leaves)
     mat, sizes = ops.dedupe_rows(mat, sizes)
     mat, sizes = ops.prune_supersets(mat, sizes, h.n)
-    return State(n=h.n, alive=alive, mat=mat, sizes=sizes)
+    return State(h.n, alive, mat, sizes)
 
 
 def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
     """Resolve (delta, p) for the round about to run."""
-    pair = ops.max_norm_degree(state.mat, state.sizes, state.n)
-    delta = ops.degree_value(pair)
+    delta = ops.degree_value(state.degree_pair())
     if cfg.p_override is not None:
         return delta, cfg.p_override
     if frozen is not None:
         return delta, frozen[1]
-    d = int(state.sizes.max()) if state.m else 1
+    d = state.dim if state.m else 1
     return delta, 1.0 / (2 ** (d + 1) * delta)
 
 
 def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
-    """One mark/unmark/cleanup round.  Returns (next_state, record, added)."""
+    """One mark/unmark/cleanup round on `state`, in place.  Returns
+    (record, added)."""
     alive = state.alive
-    u = stream.uniforms(alive)
-    markmask = u < p
-    marked = alive[markmask]
-    flags = np.zeros(state.n + 1, dtype=bool)
-    flags[marked] = True
+    marked = alive[stream.uniforms(alive) < p]
+    pool = state.rows[state.full_rows(marked)].ravel()
+    unmarked = ops.distinct(pool[pool > 0])
+    added = ops.without(marked, unmarked)
 
-    if state.m:
-        hits = flags[state.mat] & ops.valid_mask(state.mat, state.sizes)
-        full = hits.sum(axis=1) == state.sizes
-        unmark_pool = state.mat[full].ravel()
-        unmarked = np.unique(unmark_pool[unmark_pool > 0])
-    else:
-        unmarked = np.empty(0, dtype=np.int64)
-
-    addflags = flags.copy()
-    addflags[unmarked] = False
-    added = marked[addflags[marked]]
-
-    mat, sizes = ops.remove_vertices(state.mat, state.sizes, addflags)
-    if state.m and not (sizes >= 1).all():
-        raise InternalInvariantError("edge shrank to empty inside a marking round")
-    mat, sizes = ops.dedupe_rows(mat, sizes)
-    mat, sizes = ops.prune_supersets(mat, sizes, state.n)
-    single = sizes == 1
-    victims = np.unique(mat[single, 0]) if single.any() else np.empty(0, dtype=np.int64)
-    mat, sizes = ops.drop_rows(mat, sizes, single)
-
-    goneflags = addflags
-    goneflags[victims] = True
-    next_alive = alive[~goneflags[alive]]
-    nxt = State(n=state.n, alive=next_alive, mat=mat, sizes=sizes)
+    _, kept = state.cleanup(added)
+    single = kept[state.size[kept] == 1]
+    if state.nsize[1] > len(single):  # singleton edges the state began with
+        single = np.flatnonzero(state.live & (state.size == 1))
+    victims = np.sort(state.rows[single, 0])  # distinct: singletons are never duplicates
+    state.drop(single)
+    state.alive = ops.without(alive, np.concatenate([added, victims]))
     rec = BlRoundRecord(
         round=rnd,
         marked=tuple(int(v) for v in marked),
         unmarked=tuple(int(v) for v in unmarked),
         added=tuple(int(v) for v in added),
-        remaining_vertices=len(next_alive),
-        remaining_edges=nxt.m,
+        remaining_vertices=len(state.alive),
+        remaining_edges=state.m,
         delta=delta,
         p_used=p,
     )
-    return nxt, rec, added
+    return rec, added
 
 
 def bl_round(
@@ -240,19 +346,18 @@ def bl_round(
     victims leave it.
     """
     state = make_state(h, vertex_set)
-    pair = ops.max_norm_degree(state.mat, state.sizes, state.n)
-    nxt, rec, added = _mark_round(state, p, stream, ops.degree_value(pair), 0)
-    next_h = Hypergraph(h.n, ops.matrix_to_edges(nxt.mat, nxt.sizes))
+    rec, added = _mark_round(state, p, stream, ops.degree_value(state.degree_pair()), 0)
+    next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
     return (
         tuple(int(v) for v in added),
         next_h,
-        tuple(int(v) for v in nxt.alive),
+        tuple(int(v) for v in state.alive),
         rec,
     )
 
 
 def run_bl(
-    h: Hypergraph,
+    h: Hypergraph | State,
     cfg: BlConfig,
     vertex_set: Iterable[int] | None = None,
 ) -> SolverResult:
@@ -262,9 +367,11 @@ def run_bl(
     vertices are committed in one final shortcut round instead of
     trickling in at rate p.  On ok the result is verified to be a
     maximal independent set of the input (restricted to `vertex_set`
-    when one is given).
+    when one is given).  `h` may instead be a normalized :class:`State`
+    on its own vertex set, which the run consumes; the caller checks
+    that result.
     """
-    state = make_state(h, vertex_set)
+    state = h if isinstance(h, State) else make_state(h, vertex_set)
     vertices = state.alive
     max_rounds = cfg.max_rounds or default_max_rounds(len(state.alive))
 
@@ -295,13 +402,17 @@ def run_bl(
             break
         delta, p = _round_p(state, cfg, frozen)
         stream = KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        state, rec, added = _mark_round(state, p, stream, delta, rnd)
+        rec, added = _mark_round(state, p, stream, delta, rnd)
         mis.extend(int(v) for v in added)
         records.append(rec)
         rnd += 1
 
     status = STATUS_OK if len(state.alive) == 0 else STATUS_ROUND_LIMIT
     result = SolverResult(mis=tuple(sorted(mis)), rounds=records, status=status)
-    if status == STATUS_OK and not is_maximal_independent(h, result.mis, vertices.tolist()):
+    if (
+        status == STATUS_OK
+        and isinstance(h, Hypergraph)
+        and not is_maximal_independent(h, result.mis, vertices.tolist())
+    ):
         raise InternalInvariantError("marking solver produced a non-maximal set")
     return result

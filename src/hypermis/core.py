@@ -222,6 +222,9 @@ def is_maximal_independent(
 
 
 def parse_hg(text: str) -> Hypergraph:
+    """Parse .hg text.  A non-integer token, a repeated id within an edge
+    or an id outside 1..n raises ValueError naming its 1-based line,
+    comment lines counted."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -232,16 +235,37 @@ def parse_hg(text: str) -> Hypergraph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise _line_error(text, 0, exc) from None
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
-    for ln in lines[1:]:
-        ids = [int(tok) for tok in ln.split()]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate vertex id in edge line {ln!r}")
-        edges.append(ids)
-    return Hypergraph(n, edges)
+    try:
+        for ln in lines[1:]:
+            ids = [int(tok) for tok in ln.split()]
+            if len(ids) != len(set(ids)):
+                raise ValueError(f"duplicate vertex id in edge line {ln!r}")
+            edges.append(ids)
+        return Hypergraph(n, edges)
+    except ValueError as exc:
+        bad = len(edges)  # the edge line that failed to parse
+        if bad == m:  # all parsed: Hypergraph rejected an edge's range, or n (the header)
+            out_of_range = (i for i, e in enumerate(edges) if n >= 0 and (min(e) < 1 or max(e) > n))
+            bad = next(out_of_range, -1)
+        raise _line_error(text, bad + 1, exc) from None
+
+
+def _line_error(text: str, index: int, exc: ValueError) -> ValueError:
+    """`exc` prefixed with the 1-based line number of the index-th
+    non-comment line of `text` (0 is the header)."""
+    numbers = [
+        no
+        for no, ln in enumerate(text.splitlines(), 1)
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    return ValueError(f"line {numbers[index]}: {exc}")
 
 
 def format_hg(h: Hypergraph, comment: str | None = None) -> str:

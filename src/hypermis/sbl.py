@@ -14,12 +14,15 @@ residual hypergraph.  Inputs whose dimension is already <= d skip
 straight to the marking solver.
 
 The working hypergraph is the marking solver's matrix state
-(:class:`hypermis.bl.State`), built once and carried across rounds:
-inducing and the red drop are row masks, the blue shrink deletes ids from
-the rows, and the same dedupe and superset prune as in a marking round
-keep it normalized.  Only the few induced rows become a Hypergraph for
-the inner marking run, and only the residual becomes tuples, once, for
-the greedy pass.
+(:class:`hypermis.bl.State`), built once and updated in place across
+rounds: the induced edges and those touching a red vertex are found
+through its vertex->edge incidence, and the blue shrink is the same
+:meth:`~hypermis.bl.State.cleanup` a marking round runs, which touches
+only the edges holding a blue vertex.  The induced edges, normalized
+already, become the inner marking run's state as they are; the solve's
+result is checked for maximality once, at the end (each inner result
+too under check_invariants).  Only the residual becomes tuples, once,
+for the greedy pass.
 
 Default parameters follow the asymptotic recipe p = n^(-1/log2^(3) n)
 and d = log2^(2) n / (4 log2^(3) n); both are degenerate at desk scale
@@ -236,21 +239,20 @@ def sbl_round(
     """One sample → gate → mark → filter round on `state`, as built by
     :func:`hypermis.bl.make_state` or returned by the previous round.
 
-    Returns (blue, red, next_state, next_vertex_set, record); when every
-    allowed resample trips the dimension gate, returns
-    (None, None, state, vertex_set, record) and the caller applies
-    cfg.fail_policy.  The failed path leaves the state untouched.
-    Raises RoundLimitError when the inner marking run hits its round cap.
+    Returns (blue, red, next_state, next_vertex_set, record), next_state
+    being `state` updated in place; when every allowed resample trips the
+    dimension gate, returns (None, None, state, vertex_set, record) and
+    the caller applies cfg.fail_policy.  The failed path leaves the state
+    untouched.  Raises RoundLimitError when the inner marking run hits its
+    round cap.  The inner run's result is checked for maximality on the
+    induced rows only under cfg.check_invariants.
     """
     alive = state.alive
     sample = sampler or _default_sampler(cfg, p, round_index)
-    valid = ops.valid_mask(state.mat, state.sizes)
     for retry in range(cfg.max_retries_per_round + 1):
         sampled = alive[sample(retry, alive)]
-        in_sample = np.zeros(state.n + 1, dtype=bool)
-        in_sample[sampled] = True
-        induced = (in_sample[state.mat] | ~valid).all(axis=1)
-        induced_dim = int(state.sizes[induced].max(initial=0))
+        induced = state.full_rows(sampled)
+        induced_dim = int(state.size[induced].max(initial=0))
         if induced_dim <= d:
             break
 
@@ -258,7 +260,7 @@ def sbl_round(
     rec = SblRoundRecord(
         round=round_index,
         sampled=tuple(sampled.tolist()),
-        induced_edges=int(induced.sum()),
+        induced_edges=len(induced),
         induced_dim=induced_dim,
         retries=retry,
         bl_summary=None,
@@ -270,37 +272,37 @@ def sbl_round(
     if induced_dim > d:
         return None, None, state, tuple(alive.tolist()), rec
 
-    induced_h = Hypergraph(state.n, ops.matrix_to_edges(state.mat[induced], state.sizes[induced]))
+    # the induced rows are normalized already: they become the inner state as they are
+    inner = State(state.n, sampled, state.rows[induced], state.size[induced])
     bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, round_index, retry))
-    bl_res = run_bl(induced_h, bl_cfg, vertex_set=rec.sampled)
+    bl_res = run_bl(inner, bl_cfg)
     if bl_res.status != STATUS_OK:
         raise RoundLimitError(
             f"inner marking run exceeded its round budget in round {round_index}"
         )
-    blue = np.zeros(state.n + 1, dtype=bool)
-    blue[list(bl_res.mis)] = True
-    red = in_sample & ~blue
+    if cfg.check_invariants:
+        edges = ops.matrix_to_edges(state.rows[induced], state.size[induced])
+        induced_h = Hypergraph(state.n, edges)
+        if not is_maximal_independent(induced_h, bl_res.mis, rec.sampled):
+            raise InternalInvariantError("marking solver produced a non-maximal set")
+    blue = np.array(bl_res.mis, dtype=np.int64)
+    red = ops.without(sampled, blue)
 
     # an edge touching a red vertex can never become fully blue
-    dropped = red[state.mat].any(axis=1)
-    mat, sizes = ops.drop_rows(state.mat, state.sizes, dropped)
-    mat, trimmed = ops.remove_vertices(mat, sizes, blue)
-    if not (trimmed >= 1).all():
-        raise InternalInvariantError("edge became empty during blue filtering")
-    shrunk = int((trimmed < sizes).sum())
-    mat, trimmed = ops.dedupe_rows(mat, trimmed)
-    mat, trimmed = ops.prune_supersets(mat, trimmed, state.n)
-    nxt = State(n=state.n, alive=alive[~in_sample[alive]], mat=mat, sizes=trimmed)
+    dropped = state.holders(red)
+    state.drop(dropped)
+    shrunk, _ = state.cleanup(blue)
+    state.alive = ops.without(alive, sampled)
     rec.bl_summary = {
         "status": bl_res.status,
         "rounds_used": len(bl_res.rounds),
         "mis_size": len(bl_res.mis),
     }
-    rec.edges_removed_red = int(dropped.sum())
-    rec.edges_shrunk = shrunk
-    rec.remaining_vertices = len(nxt.alive)
-    rec.remaining_edges = nxt.m
-    return bl_res.mis, tuple(np.flatnonzero(red).tolist()), nxt, tuple(nxt.alive.tolist()), rec
+    rec.edges_removed_red = len(dropped)
+    rec.edges_shrunk = len(shrunk)
+    rec.remaining_vertices = len(state.alive)
+    rec.remaining_edges = state.m
+    return bl_res.mis, tuple(red.tolist()), state, tuple(state.alive.tolist()), rec
 
 
 EXIT_STOP_THRESHOLD = "stop-threshold"
@@ -327,14 +329,14 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
     input.
     """
     state = make_state(h)
-    dim = int(state.sizes.max(initial=0))
+    dim = state.dim
     # a 0- or 1-vertex instance has dimension <= 1 and always takes the
     # direct path; the parameter formulas are not defined there
     params = derive_params(h.n, state.m, cfg) if h.n >= 2 else None
 
     if params is None or dim <= params.d:
         bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, 0, 0))
-        bl_res = run_bl(h, bl_cfg)
+        bl_res = run_bl(state, bl_cfg)
         result = SblResult(
             mis=bl_res.mis,
             rounds=[],

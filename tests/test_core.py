@@ -215,3 +215,18 @@ class TestHgFormat:
             parse_hg("2 2\n1 2\n")  # promised 2 edges, got 1
         with pytest.raises(ValueError):
             parse_hg("2 1\n1 1\n")  # duplicate id inside an edge
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [
+            ("# c\n3 2\n# mid\n1 2\n2 x\n", 5, "invalid literal"),
+            ("3 y\n1 2\n", 1, "invalid literal"),
+            ("# a\n\n3 2\n1 2\n# b\n2 2\n", 6, "duplicate vertex id"),
+            ("3 2\n# a\n0 1\n1 2\n", 3, r"\(0, 1\) leaves the vertex range"),
+            ("# a\n3 2\n1 2\n# b\n2 4\n", 5, r"\(2, 4\) leaves the vertex range"),
+        ],
+    )
+    def test_errors_name_the_line(self, text, line, what):
+        # lines count from 1 and include comment and blank lines
+        with pytest.raises(ValueError, match=f"^line {line}: .*{what}"):
+            parse_hg(text)

@@ -8,6 +8,9 @@ subset keys stop being pure bit-packing and partial keys get ranked.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -113,3 +116,40 @@ def test_ranked_keys_at_dim_5_and_n_2_20():
     assert len(kernel_normalize(h)) == len(edges) - 1
     hn = normalize(h)
     assert kernel_delta(hn) == pytest.approx(oracle_delta(hn), rel=1e-12)
+
+
+def naive_tops(rows, counts):
+    """The largest count of each table of `counts`, by counting subsets."""
+    found = {}
+    for s, t in counts.tables:
+        tally = Counter(x for e in rows if len(e) == s for x in combinations(e, t))
+        found[s, t] = max(tally.values(), default=0)
+    return found
+
+
+@seed(1405_1133)
+@given(hypergraphs(), st.data())
+def test_subset_counts_follow_shrinking_rows(h, data):
+    # rows shrink and leave in random steps; the counts, updated with the
+    # changed rows only, must match a recount of the live rows each time
+    mat, sizes = ops.edge_matrix(h.edges)
+    counts = ops.SubsetCounts(mat, sizes, h.n)
+    rows = [list(e) for e in h.edges]
+    live = list(range(len(rows)))
+    for _ in range(4):
+        changed = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+        old = [tuple(rows[i]) for i in changed]
+        for i in changed:
+            keep = data.draw(st.lists(st.sampled_from(rows[i]), unique=True))
+            rows[i] = sorted(keep)
+        live = [i for i in live if rows[i]]
+        new = [tuple(rows[i]) for i in changed if rows[i]]
+        for part, sign in ((old, -1), (new, 1)):
+            if part:
+                pm, ps = ops.edge_matrix(part)
+                counts.add(pm, ps, np.full(len(part), sign))
+        got = {table: int(counts.top[k]) for k, table in enumerate(counts.tables)}
+        assert got == naive_tops([rows[i] for i in live], counts)
+        lm, ls = ops.edge_matrix([rows[i] for i in live])
+        present = np.bincount(ls, minlength=len(counts.keys) + 1)
+        assert counts.best(present) == ops.max_norm_degree(lm, ls, h.n)
