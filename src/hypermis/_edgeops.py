@@ -38,7 +38,7 @@ def edge_matrix(edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_to_edges(mat: np.ndarray, sizes: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(int(v) for v in mat[i, : sizes[i]]) for i in range(len(sizes))]
+    return [tuple(row[:size]) for row, size in zip(mat.tolist(), sizes.tolist())]
 
 
 def valid_mask(mat: np.ndarray, sizes: np.ndarray) -> np.ndarray:

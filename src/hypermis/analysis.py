@@ -29,12 +29,14 @@ estimates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import _edgeops as ops
 from . import rng
 from .core import (
     BadArityError,
@@ -280,23 +282,18 @@ def migration_hypergraph(
 
     Edges are the (k-j)-subsets Y of members of N_k(x); the weight of Y
     counts the size-(|x|+j) neighborhoods that appear once Y is fully
-    committed, w(Y) = |N_j(x | Y)|.  Candidates of weight zero are
-    dropped (they contribute nothing to the polynomial and would skew
-    the edge count in the probability bound).
+    committed, w(Y) = |N_j(x | Y)|.  Both come from one scan for the
+    edges around x: N_j(x | Y) is {z - Y : z in N_k(x), Y <= z}, so w(Y)
+    counts the distinct members that hold Y, and no candidate has
+    weight zero.
     """
     xt = vertex_tuple(x)
     d = h.dim
     if not (1 <= j < k <= d - len(xt)):
         raise BadArityError(f"need 1 <= j < k <= {d - len(xt)}, got j={j}, k={k}")
     members = neighborhood(h, xt, k)
-    candidates: set[tuple[int, ...]] = set()
-    for z in members:
-        candidates.update(combinations(z, k - j))
-    weights: dict[tuple[int, ...], float] = {}
-    for y in sorted(candidates):
-        w = len(neighborhood(h, xt + y, j))
-        if w > 0:
-            weights[y] = float(w)
+    counts = Counter(y for z in members for y in combinations(z, k - j))
+    weights = {y: float(counts[y]) for y in sorted(counts)}
     return WeightedHypergraph(Hypergraph(h.n, list(weights)), weights)
 
 
@@ -345,40 +342,62 @@ def _estimate(exceed: int, trials: int, threshold: float) -> TailEstimate:
     )
 
 
-_CHUNK = 65536
+# Cells one chunk of trials may hold: trials x ids, or trials x edge
+# slots (edges x width) where those are more.  A chunk's arrays take at
+# most a few tens of bytes per cell, so this bounds the memory of an
+# estimate whatever its trial count; coins depend only on (trial, id), so
+# no result depends on it.
+_CELLS = 1 << 19
 
 
-def _mark_chunks(seed: int, trials: int, ids: np.ndarray, p: float):
-    """Yield boolean (chunk, len(ids)) mark matrices; trial t, id v is
-    marked iff its counter-based uniform falls below p."""
+def _mark_chunks(seed: int, trials: int, ids: np.ndarray, p: float, rows: int):
+    """Yield boolean (len(ids), chunk) mark matrices, one column per
+    trial: trial t marks id v iff its counter-based uniform falls below
+    p.  `rows` is the most rows the caller builds from one chunk."""
     key = rng.derive_key(seed, rng.TAG_TRIAL)
-    done = 0
-    while done < trials:
-        block = min(_CHUNK, trials - done)
-        rows = np.arange(done, done + block, dtype=np.int64)
-        yield rng.uniform_grid(key, rows, ids) < p
-        done += block
+    block = max(1, _CELLS // max(len(ids), rows, 1))
+    for start in range(0, trials, block):
+        chunk = np.arange(start, min(start + block, trials), dtype=np.int64)
+        yield np.ascontiguousarray((rng.uniform_grid(key, chunk, ids) < p).T)
+
+
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids of `edges` and the (edges, width) matrix of
+    each edge's columns in that list.  A short row repeats its first
+    column, which changes no "every column marked" test."""
+    mat, sizes = ops.edge_matrix(edges)
+    valid = ops.valid_mask(mat, sizes)
+    ids = np.unique(mat[valid])
+    return ids, np.searchsorted(ids, np.where(valid, mat, mat[:, :1]))
+
+
+def _fully_marked(marks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(edges, chunk) flags: every vertex of the edge is marked."""
+    return marks[cols].all(axis=1)
 
 
 def tail_experiment(
     wh: WeightedHypergraph, p: float, threshold: float, trials: int, seed: int
 ) -> TailEstimate:
     """Empirical tail frequency Pr[S > threshold] under Bernoulli(p)
-    marking, with Wilson 99% bounds."""
+    marking, with Wilson 99% bounds.
+
+    Each trial adds the weights of its fully marked edges one at a time
+    in edge order; a pairwise or matrix sum can round a total differently,
+    and a total equal to the threshold would then compare the other way.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    ids = sorted({v for e in wh.base.edges for v in e})
-    cols = {v: i for i, v in enumerate(ids)}
-    edge_cols = [np.array([cols[v] for v in e]) for e in wh.base.edges]
-    w = np.array([wh.weights[e] for e in wh.base.edges])
-    idarr = np.array(ids, dtype=np.int64)
+    edges = wh.base.edges
+    ids, cols = _edge_columns(edges)
+    w = np.array([wh.weights[e] for e in edges])
     exceed = 0
-    for marks in _mark_chunks(seed, trials, idarr, p):
-        s = np.zeros(marks.shape[0])
-        for ec, we in zip(edge_cols, w):
-            s += we * marks[:, ec].all(axis=1)
+    for marks in _mark_chunks(seed, trials, ids, p, cols.size):
+        s = np.zeros(marks.shape[1])
+        for term in _fully_marked(marks, cols) * w[:, None]:
+            s += term
         exceed += int((s > threshold).sum())
     return _estimate(exceed, trials, threshold)
 
@@ -405,20 +424,12 @@ def estimate_unmark_given_marked(
     for e in h.edges:
         if xs.issuperset(e):
             raise ValueError(f"edge {e} is contained in x")
-        if xs & set(e):
+        if not xs.isdisjoint(e):
             touching.append(tuple(v for v in e if v not in xs))
-    ids = sorted({v for e in touching for v in e})
-    if not ids:  # x touches no edge: conditional unmark probability is 0
-        return _estimate(0, trials, 0.5)
-    cols = {v: i for i, v in enumerate(ids)}
-    rests = [np.array([cols[v] for v in e]) for e in touching]
-    idarr = np.array(ids, dtype=np.int64)
+    ids, cols = _edge_columns(touching)
     hits = 0
-    for marks in _mark_chunks(seed, trials, idarr, p):
-        event = np.zeros(marks.shape[0], dtype=bool)
-        for ec in rests:
-            event |= marks[:, ec].all(axis=1)
-        hits += int(event.sum())
+    for marks in _mark_chunks(seed, trials, ids, p, cols.size):
+        hits += int(_fully_marked(marks, cols).any(axis=0).sum())
     return _estimate(hits, trials, 0.5)
 
 
@@ -457,19 +468,13 @@ def estimate_neighborhood_hit(
     if not nj:
         raise BadArityError(f"N_{j}({xt}) is empty")
     bound = neighborhood_hit_bound(h, xt, j)
-    ids = sorted({v for e in h.edges for v in e} | {v for y in nj for v in y})
-    cols = {v: i for i, v in enumerate(ids)}
-    edge_cols = [np.array([cols[v] for v in e]) for e in h.edges]
-    y_cols = [np.array([cols[v] for v in y]) for y in nj]
-    idarr = np.array(ids, dtype=np.int64)
+    # only an edge through a vertex of some Y can unmark it
+    in_nj = {v for y in nj for v in y}
+    ids, cols = _edge_columns([e for e in h.edges if not in_nj.isdisjoint(e)])
+    ycols = np.searchsorted(ids, np.array(nj, dtype=np.int64))
     hits = 0
-    for marks in _mark_chunks(seed, trials, idarr, p):
-        unmarked = np.zeros_like(marks)
-        for ec in edge_cols:
-            full = marks[:, ec].all(axis=1)
-            unmarked[np.ix_(full, ec)] = True
-        event = np.zeros(marks.shape[0], dtype=bool)
-        for yc in y_cols:
-            event |= marks[:, yc].all(axis=1) & ~unmarked[:, yc].any(axis=1)
-        hits += int(event.sum())
+    for marks in _mark_chunks(seed, trials, ids, p, cols.size):
+        edge, trial = np.nonzero(_fully_marked(marks, cols))
+        marks[cols[edge], trial[:, None]] = False  # unmark every fully marked edge
+        hits += int(_fully_marked(marks, ycols).any(axis=0).sum())
     return _estimate(hits, trials, bound)

@@ -320,9 +320,9 @@ def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
     state.alive = ops.without(alive, np.concatenate([added, victims]))
     rec = BlRoundRecord(
         round=rnd,
-        marked=tuple(int(v) for v in marked),
-        unmarked=tuple(int(v) for v in unmarked),
-        added=tuple(int(v) for v in added),
+        marked=tuple(marked.tolist()),
+        unmarked=tuple(unmarked.tolist()),
+        added=tuple(added.tolist()),
         remaining_vertices=len(state.alive),
         remaining_edges=state.m,
         delta=delta,
@@ -349,9 +349,9 @@ def bl_round(
     rec, added = _mark_round(state, p, stream, ops.degree_value(state.degree_pair()), 0)
     next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
     return (
-        tuple(int(v) for v in added),
+        tuple(added.tolist()),
         next_h,
-        tuple(int(v) for v in state.alive),
+        tuple(state.alive.tolist()),
         rec,
     )
 
@@ -384,7 +384,7 @@ def run_bl(
     rnd = 0
     while len(state.alive) and rnd < max_rounds:
         if state.m == 0:
-            remaining = tuple(int(v) for v in state.alive)
+            remaining = tuple(state.alive.tolist())
             mis.extend(remaining)
             records.append(
                 BlRoundRecord(
@@ -403,7 +403,7 @@ def run_bl(
         delta, p = _round_p(state, cfg, frozen)
         stream = KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
         rec, added = _mark_round(state, p, stream, delta, rnd)
-        mis.extend(int(v) for v in added)
+        mis.extend(added.tolist())
         records.append(rec)
         rnd += 1
 

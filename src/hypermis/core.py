@@ -77,7 +77,7 @@ class Hypergraph:
     @property
     def dim(self) -> int:
         """Maximum edge size (0 for an edge-free hypergraph)."""
-        return max((len(e) for e in self.edges), default=0)
+        return max(map(len, self.edges), default=0)
 
     @property
     def vertices(self) -> range:

@@ -58,12 +58,16 @@ def derive_key(*words: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    """splitmix64 finalizer on a fresh uint64 array, in place (every
+    caller builds `x` for this call); returns it."""
+    t = x >> np.uint64(30)
+    x ^= t
     x *= np.uint64(_MUL1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= np.uint64(_MUL2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
@@ -94,8 +98,9 @@ def uniform_grid(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     rk = _mix64_array(np.asarray(rows, dtype=np.uint64) + np.uint64((key + _PHI) & _MASK))
     words = np.asarray(cols, dtype=np.uint64) * np.uint64(_PHI)
-    grid = words[None, :] ^ rk[:, None]
-    return (_mix64_array(grid) >> np.uint64(11)) * (2.0 ** -53)
+    grid = _mix64_array(words[None, :] ^ rk[:, None])
+    grid >>= np.uint64(11)
+    return grid * (2.0 ** -53)
 
 
 class Stream:

@@ -1,0 +1,164 @@
+"""The Monte Carlo estimators and migration weights against the loop-based
+oracle in mc_reference.py, result for result and error for error.
+
+The estimators draw coins only for the ids an event reads and test all
+edges of a chunk of trials in one array pass; the oracle draws every id
+in sight for all trials at once and loops over edges.  Coins depend only
+on (trial, id), so the two must agree exactly, also when the trials are
+cut into many chunks (the chunk budget is patched small here)."""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
+
+import mc_reference as ref
+from hypermis import analysis as an
+from hypermis.core import Hypergraph
+from hypermis.generate import KIND_UNIFORM, GenSpec, gen
+
+CELLS = st.sampled_from([1, 5, 64, an._CELLS])
+PS = st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0])
+TRIALS = st.integers(1, 300)
+SEEDS = st.integers(0, 2**32)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:  # BadArityError and NoEdgesError are ValueErrors
+        return type(err), str(err)
+
+
+def weight_items(result):
+    if isinstance(result, an.WeightedHypergraph):
+        return result.base.n, result.base.edges, list(result.weights.items())
+    return result
+
+
+@st.composite
+def instances(draw, min_edges=1, max_edges=10):
+    """Edges of sizes 2-8 over a small id pool, so neighborhoods overlap;
+    ids up to 2^20; repeated edges allowed."""
+    n = draw(st.sampled_from([12, 300, 1 << 20]))
+    pool = sorted(draw(st.sets(st.integers(1, n), min_size=4, max_size=11)))
+    edge = st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True)
+    edges = draw(st.lists(edge, min_size=min_edges, max_size=max_edges))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return Hypergraph(n, edges), pool
+
+
+@st.composite
+def instance_and_x(draw):
+    """x is part of an edge, a few pool ids, an id on no edge, or empty."""
+    h, pool = draw(instances())
+    kind = draw(st.sampled_from(["edge", "edge", "pool", "outside", "empty"]))
+    if kind == "edge":
+        e = draw(st.sampled_from(h.edges))
+        x = draw(st.permutations(e))[: draw(st.integers(1, len(e) - 1))]
+    elif kind == "pool":
+        x = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=3))
+    elif kind == "outside":
+        x = [draw(st.integers(1, h.n).filter(lambda v: v not in pool))]
+    else:
+        x = []
+    return h, tuple(x)
+
+
+@st.composite
+def weighted_and_threshold(draw):
+    """Distinct edges with non-integer weights, and a threshold that is a
+    left-to-right partial sum over all or some of them, so a total that
+    rounds differently would compare the other way (matrix products
+    start to round differently at about 8 edges)."""
+    h, _ = draw(instances(min_edges=4, max_edges=24))
+    edges = sorted(set(h.edges))
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3, 2.5]) | st.floats(0.01, 10.0)
+    ws = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    wh = an.WeightedHypergraph(Hypergraph(h.n, edges), dict(zip(edges, ws)))
+    every = draw(st.booleans())
+    threshold = 0.0
+    for e in wh.base.edges:
+        if every or draw(st.booleans()):
+            threshold += wh.weights[e]
+    return wh, threshold
+
+
+@seed(14051133)
+@given(instance_and_x(), PS, TRIALS, SEEDS, CELLS)
+def test_unmark_estimate_matches_reference(case, p, trials, mc_seed, cells):
+    h, x = case
+    with mock.patch.object(an, "_CELLS", cells):
+        got = outcome(an.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
+    assert got == outcome(ref.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
+
+
+@seed(14051133)
+@given(instance_and_x(), st.sampled_from([1, 2]), PS, TRIALS, SEEDS, CELLS)
+def test_neighborhood_hit_matches_reference(case, j, p, trials, mc_seed, cells):
+    h, x = case
+    with mock.patch.object(an, "_CELLS", cells):
+        got = outcome(an.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
+    assert got == outcome(ref.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
+
+
+@seed(14051133)
+@given(instance_and_x(), st.sampled_from([1, 2]), st.integers(1, 3))
+def test_migration_weights_match_reference(case, j, gap):
+    h, x = case
+    got = outcome(an.migration_hypergraph, h, x, j, j + gap)
+    assert weight_items(got) == weight_items(outcome(ref.migration_hypergraph, h, x, j, j + gap))
+
+
+@seed(14051133)
+@given(weighted_and_threshold(), PS, TRIALS, SEEDS, CELLS)
+def test_tail_experiment_matches_reference(case, p, trials, mc_seed, cells):
+    wh, threshold = case
+    with mock.patch.object(an, "_CELLS", cells):
+        got = an.tail_experiment(wh, p, threshold, trials, mc_seed)
+    assert got == ref.tail_experiment(wh, p, threshold, trials, mc_seed)
+
+
+@pytest.mark.parametrize("m", [3, 20])
+def test_tail_total_is_summed_in_edge_order(m):
+    # at p = 1 every trial marks every edge, so S is the left-to-right sum
+    # of all weights exactly (0.1 + 0.2 + 0.3 is 0.6000000000000001, not
+    # 0.6, in that order); a pairwise sum rounds some totals the other way
+    ws = [(0.1, 0.2, 0.3, 0.7, 1 / 3)[i % 5] for i in range(m)]
+    edges = [(v,) for v in range(1, m + 1)]
+    wh = an.WeightedHypergraph(Hypergraph(m, edges), dict(zip(edges, ws)))
+    total = 0.0
+    for w in ws:
+        total += w
+    assert an.tail_experiment(wh, 1.0, total, 50, seed=1).exceed_count == 0
+    assert an.tail_experiment(wh, 1.0, math.nextafter(total, 0.0), 50, seed=1).exceed_count == 50
+    if m == 3:
+        assert an.tail_experiment(wh, 1.0, 0.6, 50, seed=1).exceed_count == 50
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tail_memory_is_bounded_per_chunk():
+    # one id and one edge per vertex: all 8192 trials at once would need
+    # hundreds of MiB
+    edges = [(v,) for v in range(1, 3001)]
+    wh = an.WeightedHypergraph(Hypergraph(3000, edges), {e: 1.0 for e in edges})
+    assert traced_peak(an.tail_experiment, wh, 0.5, 1500.0, 8192, 1) < 64 * 2**20
+
+
+def test_neighborhood_hit_memory_follows_the_edges_read():
+    h = gen(GenSpec(n=2000, kind=KIND_UNIFORM, seed=3, m=4000, dim=3))
+    x = h.edges[0][:1]
+    assert traced_peak(an.estimate_neighborhood_hit, h, x, 2, 0.05, 8192, 1) < 64 * 2**20

@@ -24,7 +24,7 @@ def load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["bl-uniform3", "bl-wide6", "sbl-sample"])
+@pytest.mark.parametrize("name", ["bl-uniform3", "bl-wide6", "sbl-sample", "workbench-mc"])
 def test_first_operations_match_recorded_digests(name):
     workloads = load_workloads()
     design = workloads.load_design()
