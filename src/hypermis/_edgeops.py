@@ -1,9 +1,10 @@
-"""Vectorized edge-list kernels used by the round-based solvers.
+"""Vectorized edge-list kernels of :mod:`hypermis.core` and the solvers.
 
 Edges live in a padded (m, w) int64 matrix: row i holds the ids of edge i
 sorted ascending in its first sizes[i] columns, padded with 0 (ids are
-1-based, so 0 never collides).  All kernels keep rows sorted and return
-fresh arrays; the one stateful piece is :class:`SubsetCounts`, the
+1-based, so 0 never collides); each Hypergraph caches its own, read-only.
+Kernels keep rows sorted and never write to their input, which they may
+return as is; the one stateful piece is :class:`SubsetCounts`, the
 subset-count tables the marking solver updates row by row.
 
 Subsets are matched and counted by uint64 keys, one scheme at any edge
@@ -97,6 +98,22 @@ def drop_rows(mat, sizes, mask):
     return mat[~mask], sizes[~mask]
 
 
+def rows_inside(mat: np.ndarray, sizes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask of the rows all of whose ids are among the sorted ids `ids`."""
+    return (member(mat, ids) | ~valid_mask(mat, sizes)).all(axis=1)
+
+
+def is_maximal_on(mat, sizes, s, vertices) -> bool:
+    """True iff no row lies inside the sorted ids `s` and each id of
+    `vertices` is in s or blocked, the one id of some row outside s."""
+    outside = valid_mask(mat, sizes) & ~member(mat, s)
+    left = outside.sum(axis=1)
+    if not left.all():
+        return False
+    blocked = np.sort(mat[left == 1][outside[left == 1]])
+    return bool((member(vertices, s) | member(vertices, blocked)).all())
+
+
 def dedupe_rows(mat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove duplicate edges (rows are sorted+padded, so row equality is
     set equality).  Row order is not preserved; edge order never carries
@@ -153,8 +170,8 @@ def prune_supersets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Remove every row that strictly contains another row.
 
-    Assumes rows are deduplicated.  Mirrors the cleanup semantics of
-    :func:`hypermis.core.normalize` on the array representation.
+    Assumes rows are deduplicated.  :func:`hypermis.core.normalize` runs
+    it; tests/conftest.py holds a plain-set transcription to check it by.
     """
     m = mat.shape[0]
     if m <= 1:

@@ -361,11 +361,11 @@ def _mark_chunks(seed: int, trials: int, ids: np.ndarray, p: float, rows: int):
         yield np.ascontiguousarray((rng.uniform_grid(key, chunk, ids) < p).T)
 
 
-def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct ids of `edges` and the (edges, width) matrix of
-    each edge's columns in that list.  A short row repeats its first
+def _edge_columns(mat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids of the edge rows and the (edges, dim) matrix
+    of each row's columns in that list.  A short row repeats its first
     column, which changes no "every column marked" test."""
-    mat, sizes = ops.edge_matrix(edges)
+    mat = mat[:, : int(sizes.max(initial=1))]
     valid = ops.valid_mask(mat, sizes)
     ids = np.unique(mat[valid])
     return ids, np.searchsorted(ids, np.where(valid, mat, mat[:, :1]))
@@ -390,9 +390,8 @@ def tail_experiment(
         raise ValueError("trials must be >= 1")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    edges = wh.base.edges
-    ids, cols = _edge_columns(edges)
-    w = np.array([wh.weights[e] for e in edges])
+    ids, cols = _edge_columns(*wh.base.arrays)
+    w = np.fromiter(wh.weights.values(), dtype=np.float64)  # in edge order
     exceed = 0
     for marks in _mark_chunks(seed, trials, ids, p, cols.size):
         s = np.zeros(marks.shape[1])
@@ -415,18 +414,17 @@ def estimate_unmark_given_marked(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     xt = vertex_tuple(x)
-    xs = set(xt)
     if not xt:
         raise ValueError("x must be non-empty")
     if len(xt) >= h.dim:
         raise ValueError(f"|x|={len(xt)} must be < dim={h.dim}")
-    touching = []
-    for e in h.edges:
-        if xs.issuperset(e):
-            raise ValueError(f"edge {e} is contained in x")
-        if not xs.isdisjoint(e):
-            touching.append(tuple(v for v in e if v not in xs))
-    ids, cols = _edge_columns(touching)
+    mat, sizes = h.arrays
+    in_x = ops.member(mat, np.array(xt, dtype=np.int64)) & ops.valid_mask(mat, sizes)
+    hits = in_x.sum(axis=1)
+    if (hits == sizes).any():
+        raise ValueError(f"edge {h.edges[np.argmax(hits == sizes)]} is contained in x")
+    near = hits > 0
+    ids, cols = _edge_columns(*ops.remove_vertices(mat[near], sizes[near], in_x[near]))
     hits = 0
     for marks in _mark_chunks(seed, trials, ids, p, cols.size):
         hits += int(_fully_marked(marks, cols).any(axis=0).sum())
@@ -469,8 +467,10 @@ def estimate_neighborhood_hit(
         raise BadArityError(f"N_{j}({xt}) is empty")
     bound = neighborhood_hit_bound(h, xt, j)
     # only an edge through a vertex of some Y can unmark it
-    in_nj = {v for y in nj for v in y}
-    ids, cols = _edge_columns([e for e in h.edges if not in_nj.isdisjoint(e)])
+    mat, sizes = h.arrays
+    in_nj = ops.member(mat, ops.distinct(np.ravel(nj))) & ops.valid_mask(mat, sizes)
+    near = in_nj.any(axis=1)
+    ids, cols = _edge_columns(mat[near], sizes[near])
     ycols = np.searchsorted(ids, np.array(nj, dtype=np.int64))
     hits = 0
     for marks in _mark_chunks(seed, trials, ids, p, cols.size):

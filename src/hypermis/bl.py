@@ -16,8 +16,9 @@ delta is taken as 1.0 so the round is still well-defined (any such round
 only has singleton edges, which die in cleanup regardless of the coins).
 
 Edges live in the padded matrix of :mod:`hypermis._edgeops` (a
-:class:`State`).  :func:`make_state` restricts the input to the vertex
-set and normalizes it once with the full kernels; from then on the state
+:class:`State`).  :func:`make_state` restricts the input's cached matrix
+to the vertex set and normalizes it once with the full kernels into a
+state of its own; from then on the state
 is updated in place and a round pays only for the edges it touches: the
 edges a vertex lies in are found through a vertex->edge incidence list,
 :meth:`State.cleanup` shrinks just the edges holding a committed vertex
@@ -85,18 +86,8 @@ class BlRoundRecord:
     p_used: float
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "round": self.round,
-                "marked": list(self.marked),
-                "unmarked": list(self.unmarked),
-                "added": list(self.added),
-                "remaining_vertices": self.remaining_vertices,
-                "remaining_edges": self.remaining_edges,
-                "delta": self.delta,
-                "p_used": self.p_used,
-            }
-        )
+        """The fields, in declaration order, as one JSON object."""
+        return json.dumps(vars(self))
 
 
 @dataclass
@@ -117,16 +108,6 @@ class KeyStream:
 
     def uniforms(self, ids: np.ndarray) -> np.ndarray:
         return rng.uniforms(self.key, ids)
-
-
-class ForcedMarks:
-    """Test double: marks exactly the given ids (uniform 0 vs 1)."""
-
-    def __init__(self, marked: Iterable[int]):
-        self.marked = set(marked)
-
-    def uniforms(self, ids: np.ndarray) -> np.ndarray:
-        return np.array([0.0 if int(v) in self.marked else 1.0 for v in ids])
 
 
 class State:
@@ -280,15 +261,12 @@ def make_state(h: Hypergraph, vertex_set: Iterable[int] | None = None) -> State:
     None): the edges inside it, deduplicated, with every edge that
     strictly contains another dropped."""
     alive = vertex_array(vertex_set, h.n)
-    mat, sizes = ops.edge_matrix(h.edges)
+    mat, sizes = h.arrays
     if vertex_set is not None:
-        inside = np.zeros(h.n + 1, dtype=bool)
-        inside[alive] = True
-        leaves = (~inside[mat] & ops.valid_mask(mat, sizes)).any(axis=1)
-        mat, sizes = ops.drop_rows(mat, sizes, leaves)
-    mat, sizes = ops.dedupe_rows(mat, sizes)
-    mat, sizes = ops.prune_supersets(mat, sizes, h.n)
-    return State(h.n, alive, mat, sizes)
+        inside = ops.rows_inside(mat, sizes, alive)
+        mat, sizes = mat[inside], sizes[inside]
+    mat, sizes = ops.prune_supersets(*ops.dedupe_rows(mat, sizes), h.n)
+    return State(h.n, alive, mat.copy(), sizes.copy())
 
 
 def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
@@ -329,31 +307,6 @@ def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
         p_used=p,
     )
     return rec, added
-
-
-def bl_round(
-    h: Hypergraph,
-    p: float,
-    stream,
-    vertex_set: Iterable[int] | None = None,
-) -> tuple[tuple[int, ...], Hypergraph, tuple[int, ...], BlRoundRecord]:
-    """Run a single round on `h` restricted to `vertex_set`, normalized
-    first.
-
-    Returns (added, next_hypergraph, next_vertex_set, record).  The next
-    hypergraph keeps the ambient id range; the surviving vertex set is
-    returned alongside because committed vertices and singleton-cleanup
-    victims leave it.
-    """
-    state = make_state(h, vertex_set)
-    rec, added = _mark_round(state, p, stream, ops.degree_value(state.degree_pair()), 0)
-    next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
-    return (
-        tuple(added.tolist()),
-        next_h,
-        tuple(state.alive.tolist()),
-        rec,
-    )
 
 
 def run_bl(
@@ -412,7 +365,7 @@ def run_bl(
     if (
         status == STATUS_OK
         and isinstance(h, Hypergraph)
-        and not is_maximal_independent(h, result.mis, vertices.tolist())
+        and not is_maximal_independent(h, result.mis, vertices)
     ):
         raise InternalInvariantError("marking solver produced a non-maximal set")
     return result

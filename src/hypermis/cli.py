@@ -26,6 +26,7 @@ from . import analysis, bl, generate, sbl
 from .baseline import greedy_mis
 from .core import (
     Hypergraph,
+    format_hg,
     is_independent,
     is_maximal_independent,
     load_hg,
@@ -55,6 +56,13 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     return vertex_tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _check_ids(ids, n: int, what: str) -> None:
+    """ValueError naming the first entry of `ids` that is not an integer in 1..n."""
+    for v in ids:
+        if type(v) is not int or not 1 <= v <= n:
+            raise ValueError(f"{what} id {json.dumps(v)} is not a vertex id in [1, {n}]")
+
+
 def _cmd_gen(args) -> int:
     dim_range = None
     if args.dim_range:
@@ -82,9 +90,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         save_hg(h, args.out, comment=text_comment)
     else:
-        sys.stdout.write(f"# {text_comment}\n{h.n} {h.m}\n")
-        for e in h.edges:
-            sys.stdout.write(" ".join(str(v) for v in e) + "\n")
+        sys.stdout.write(format_hg(h, text_comment))
     return 0
 
 
@@ -175,6 +181,7 @@ def _cmd_verify(args) -> int:
     _echo_config({"command": "verify", "input_n": h.n, "input_m": h.m, "mis_file": args.mis})
     with open(args.mis, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_ids(doc["mis"], h.n, "mis")
     mis = vertex_tuple(doc["mis"])
     indep = is_independent(h, mis)
     maximal = indep and is_maximal_independent(h, mis)
@@ -247,6 +254,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_experiment(args) -> int:
     h = load_hg(args.input)
     x = _parse_ids(args.x) if args.x else ()
+    _check_ids(x, h.n, "--x")
     p = args.p if args.p is not None else analysis.bl_probability(h)
     _echo_config(
         {

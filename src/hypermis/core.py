@@ -16,12 +16,11 @@ c2^j1), so float ties never decide a maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from ._edgeops import best_pair, degree_pairs, degree_value, edge_matrix, valid_mask
+from . import _edgeops as ops
 
 
 class EmptyEdgeError(ValueError):
@@ -50,10 +49,11 @@ class Hypergraph:
 
     Edges are stored as sorted id tuples, the edge list itself sorted
     lexicographically.  Duplicate edges are legal until :func:`normalize`
-    collapses them; empty edges are rejected outright.
+    collapses them; empty edges are rejected outright.  The queries below
+    run on :attr:`arrays`, the same edges as a padded id matrix.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
@@ -69,6 +69,17 @@ class Hypergraph:
         canon.sort()
         self.n = n
         self.edges = tuple(canon)
+        self._arrays = None
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (mat, sizes) of :func:`hypermis._edgeops.edge_matrix`
+        (row i is edges[i]), built on first use."""
+        if self._arrays is None:
+            self._arrays = ops.edge_matrix(self.edges)
+            for a in self._arrays:
+                a.flags.writeable = False
+        return self._arrays
 
     @property
     def m(self) -> int:
@@ -77,14 +88,11 @@ class Hypergraph:
     @property
     def dim(self) -> int:
         """Maximum edge size (0 for an edge-free hypergraph)."""
-        return max(map(len, self.edges), default=0)
+        return int(self.arrays[1].max(initial=0))
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def edge_sets(self) -> list[frozenset[int]]:
-        return [frozenset(e) for e in self.edges]
 
     def __eq__(self, other) -> bool:
         return (
@@ -104,31 +112,23 @@ def normalize(h: Hypergraph) -> Hypergraph:
     """Collapse duplicate edges and drop every edge strictly containing
     another edge.  The vertex set is untouched; idempotent.
     """
-    distinct = set(h.edges)
-    by_size: dict[int, set[tuple[int, ...]]] = {}
-    for e in distinct:
-        by_size.setdefault(len(e), set()).add(e)
-    sizes = sorted(by_size)
-    kept = []
-    for e in distinct:
-        covered = False
-        for s in sizes:
-            if s >= len(e):
-                break
-            smaller = by_size[s]
-            if any(sub in smaller for sub in combinations(e, s)):
-                covered = True
-                break
-        if not covered:
-            kept.append(e)
-    return Hypergraph(h.n, kept)
+    mat, sizes = ops.prune_supersets(*ops.dedupe_rows(*h.arrays), h.n)
+    return Hypergraph(h.n, ops.matrix_to_edges(mat, sizes))
+
+
+def _ids(vs: Iterable[int]) -> np.ndarray:
+    """Sorted distinct ids of `vs` as an array."""
+    if not isinstance(vs, np.ndarray):
+        vs = np.fromiter(vs, dtype=np.int64)
+    return ops.distinct(vs)
 
 
 def induce(h: Hypergraph, vs: Iterable[int]) -> Hypergraph:
     """Sub-hypergraph on `vs`: keeps exactly the edges fully inside `vs`,
     with vertex ids preserved (no renumbering)."""
-    inside = set(vs)
-    return Hypergraph(h.n, [e for e in h.edges if inside.issuperset(e)])
+    mat, sizes = h.arrays
+    inside = ops.rows_inside(mat, sizes, _ids(vs))
+    return Hypergraph(h.n, ops.matrix_to_edges(mat[inside], sizes[inside]))
 
 
 def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...]]:
@@ -141,14 +141,12 @@ def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...
         raise ValueError("x must be non-empty")
     if j < 1 or j > h.dim - len(xt):
         raise BadArityError(f"j={j} outside [1, {h.dim - len(xt)}] for |x|={len(xt)}")
-    xs = set(xt)
-    target = len(xt) + j
-    out = {
-        tuple(v for v in e if v not in xs)
-        for e in h.edges
-        if len(e) == target and xs.issubset(e)
-    }
-    return sorted(out)
+    mat, sizes = h.arrays
+    rows = mat[sizes == len(xt) + j, : len(xt) + j]
+    in_x = ops.member(rows, np.array(xt, dtype=np.int64))
+    holds = in_x.sum(axis=1) == len(xt)
+    ys = rows[holds][~in_x[holds]].reshape(-1, j)
+    return sorted(set(map(tuple, ys.tolist())))
 
 
 @dataclass(frozen=True)
@@ -174,22 +172,23 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     present are relabelled to 1..k first, so memory follows the edges,
     not n.
     """
-    mat, sizes = edge_matrix(h.edges)
-    valid = valid_mask(mat, sizes)
+    mat, sizes = h.arrays
+    valid = ops.valid_mask(mat, sizes)
     ids, rank = np.unique(mat[valid], return_inverse=True)
-    mat[valid] = rank + 1
-    pairs = degree_pairs(mat, sizes, len(ids))
+    ranked = np.zeros_like(mat)
+    ranked[valid] = rank + 1
+    pairs = ops.degree_pairs(ranked, sizes, len(ids))
     if not pairs:
         raise NoEdgesError("no edge of size >= 2")
     delta_i = dict.fromkeys(range(2, h.dim + 1), 0.0)
-    delta_i.update((i, degree_value(pair)) for i, pair in pairs.items())
-    return DegreeProfile(dim=h.dim, delta_i=delta_i, delta=degree_value(best_pair(pairs.values())))
+    delta_i.update((i, ops.degree_value(pair)) for i, pair in pairs.items())
+    best = ops.degree_value(ops.best_pair(pairs.values()))
+    return DegreeProfile(dim=h.dim, delta_i=delta_i, delta=best)
 
 
 def is_independent(h: Hypergraph, s: Iterable[int]) -> bool:
-    """True iff no edge is fully contained in s."""
-    inside = set(s)
-    return not any(inside.issuperset(e) for e in h.edges)
+    """True iff no edge is fully contained in s (s is maximal on no vertices)."""
+    return ops.is_maximal_on(*h.arrays, _ids(s), _ids(()))
 
 
 def is_maximal_independent(
@@ -202,17 +201,8 @@ def is_maximal_independent(
     induced on `vertices`: an edge leaving `vertices` has a vertex
     outside s, so it can only block vertices outside the range.
     """
-    inside = set(s)
-    blocked: set[int] = set()
-    for e in h.edges:
-        missing = [v for v in e if v not in inside]
-        if not missing:
-            return False
-        if len(missing) == 1:
-            blocked.add(missing[0])
-    if vertices is None:
-        vertices = h.vertices
-    return all(v in inside or v in blocked for v in vertices)
+    vs = np.arange(1, h.n + 1, dtype=np.int64) if vertices is None else _ids(vertices)
+    return ops.is_maximal_on(*h.arrays, _ids(s), vs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import rng
-from .core import Hypergraph, normalize
+from .core import Hypergraph
 
 KIND_UNIFORM = "uniform-d"
 KIND_MIXED = "mixed-dims"
@@ -72,7 +72,9 @@ def _comparable(e: tuple[int, ...], other: tuple[int, ...]) -> bool:
 
 
 def gen(spec: GenSpec) -> Hypergraph:
-    """Generate a normalized hypergraph for a GenSpec, deterministically."""
+    """Generate a normalized hypergraph for a GenSpec, deterministically:
+    uniform-d and linear draw distinct edges of one size, and mixed-dims
+    rejects comparable edges."""
     stream = rng.Stream(spec.seed, rng.TAG_GEN)
     if spec.kind == KIND_UNIFORM:
         edges = _gen_uniform(spec, stream)
@@ -80,7 +82,7 @@ def gen(spec: GenSpec) -> Hypergraph:
         edges = _gen_mixed(spec, stream)
     else:
         edges = _gen_linear(spec, stream)
-    return normalize(Hypergraph(spec.n, edges))
+    return Hypergraph(spec.n, edges)
 
 
 def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:

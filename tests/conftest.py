@@ -36,14 +36,46 @@ def naive_is_independent(h: Hypergraph, s) -> bool:
     return True
 
 
-def naive_is_maximal(h: Hypergraph, s) -> bool:
+def naive_normalize(h: Hypergraph) -> Hypergraph:
+    """Drop repeated edges and every edge strictly containing another,
+    looking each smaller edge up among the subsets of each edge."""
+    distinct = set(h.edges)
+    by_size: dict[int, set[tuple[int, ...]]] = {}
+    for e in distinct:
+        by_size.setdefault(len(e), set()).add(e)
+    kept = [
+        e
+        for e in distinct
+        if not any(
+            sub in by_size[s]
+            for s in by_size
+            if s < len(e)
+            for sub in combinations(e, s)
+        )
+    ]
+    return Hypergraph(h.n, kept)
+
+
+def naive_is_maximal(h: Hypergraph, s, vertices=None) -> bool:
     s = set(s)
     if not naive_is_independent(h, s):
         return False
-    for v in h.vertices:
+    for v in h.vertices if vertices is None else vertices:
         if v not in s and naive_is_independent(h, s | {v}):
             return False
     return True
+
+
+def naive_neighborhood(h: Hypergraph, x, j: int) -> list[tuple[int, ...]]:
+    x = set(x)
+    return sorted(
+        {tuple(sorted(set(e) - x)) for e in h.edges if len(e) == len(x) + j and x <= set(e)}
+    )
+
+
+def naive_induce(h: Hypergraph, vs) -> Hypergraph:
+    vs = set(vs)
+    return Hypergraph(h.n, [e for e in h.edges if set(e) <= vs])
 
 
 def naive_enumerate_mis(h: Hypergraph) -> list[tuple[int, ...]]:

@@ -1,0 +1,47 @@
+"""One marking round on a Hypergraph, and a coin source that marks given
+ids: the tests' handles on single rounds of :mod:`hypermis.bl`.
+
+``bl_round`` runs one round of the solver's own round code on a fresh
+state, so tests can check a round in isolation and iterate rounds by hand
+against ``run_bl``.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from hypermis import _edgeops as ops
+from hypermis.bl import BlRoundRecord, _mark_round, make_state
+from hypermis.core import Hypergraph
+
+
+class ForcedMarks:
+    """Marks exactly the given ids (uniform 0 vs 1)."""
+
+    def __init__(self, marked: Iterable[int]):
+        self.marked = set(marked)
+
+    def uniforms(self, ids: np.ndarray) -> np.ndarray:
+        return np.array([0.0 if int(v) in self.marked else 1.0 for v in ids])
+
+
+def bl_round(
+    h: Hypergraph,
+    p: float,
+    stream,
+    vertex_set: Iterable[int] | None = None,
+) -> tuple[tuple[int, ...], Hypergraph, tuple[int, ...], BlRoundRecord]:
+    """Run a single round on `h` restricted to `vertex_set`, normalized
+    first.
+
+    Returns (added, next_hypergraph, next_vertex_set, record).  The next
+    hypergraph keeps the ambient id range; the surviving vertex set is
+    returned alongside because committed vertices and singleton-cleanup
+    victims leave it.
+    """
+    state = make_state(h, vertex_set)
+    rec, added = _mark_round(state, p, stream, ops.degree_value(state.degree_pair()), 0)
+    next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
+    return tuple(added.tolist()), next_h, tuple(state.alive.tolist()), rec

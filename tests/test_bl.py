@@ -10,13 +10,12 @@ from hypermis.bl import (
     STATUS_OK,
     STATUS_ROUND_LIMIT,
     BlConfig,
-    ForcedMarks,
     KeyStream,
-    bl_round,
     run_bl,
 )
 from hypermis.core import Hypergraph, is_independent, is_maximal_independent, normalize
 from hypermis import rng
+from single_round import ForcedMarks, bl_round
 
 PAIR = Hypergraph(2, [(1, 2)])
 

@@ -26,16 +26,16 @@ def instance(tmp_path, capsys):
 
 
 class TestGen:
-    def test_stdout_mode(self, capsys):
-        code, out, err = run_cli(
-            ["gen", "--n", "6", "--kind", "uniform-d", "--dim", "2", "--m", "3",
-             "--seed", "1"],
-            capsys,
-        )
+    def test_stdout_mode(self, tmp_path, capsys):
+        spec = ["gen", "--n", "6", "--kind", "uniform-d", "--dim", "2", "--m", "3", "--seed", "1"]
+        code, out, err = run_cli(spec, capsys)
         assert code == 0
         lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert lines[0] == "6 3"
         assert "config:" in err
+        path = tmp_path / "g.hg"
+        assert run_cli([*spec, "--out", str(path)], capsys)[0] == 0
+        assert out == path.read_text(encoding="utf-8")
 
     def test_infeasible_is_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -116,6 +116,19 @@ class TestSolve:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "bad", [99, 0, -7, 99999999999999999999999, 2.0, "3", True]
+    )
+    def test_non_vertex_ids_fail(self, tmp_path, capsys, bad):
+        # H0 = 5 3 / 1 2 3 / 3 4 / 4 5, on which [1, 2, 4] is an MIS
+        hg = tmp_path / "h0.hg"
+        hg.write_text("5 3\n1 2 3\n3 4\n4 5\n")
+        claim = tmp_path / "mis.json"
+        claim.write_text(json.dumps({"mis": [1, 2, 4, bad]}))
+        code, out, err = run_cli(["verify", str(hg), str(claim)], capsys)
+        assert code == 1 and out == ""
+        assert "error:" in err and json.dumps(bad) in err
+
     def test_bad_set_fails(self, instance, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mis": list(range(1, 10))}))
@@ -149,6 +162,14 @@ class TestAnalyze:
 
 
 class TestExperiment:
+    def test_non_vertex_x_fails(self, instance, capsys):
+        for x in ("0", "25", "99999999999999999999999"):
+            code, out, err = run_cli(
+                ["experiment", "lemma1", str(instance), "--seed", "2", "--trials", "50", "--x", x],
+                capsys,
+            )
+            assert code == 1 and out == "" and f"--x id {x} " in err
+
     def test_lemma1_csv(self, instance, capsys):
         code, out, _ = run_cli(
             ["experiment", "lemma1", str(instance), "--seed", "2",

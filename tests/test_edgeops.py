@@ -1,5 +1,5 @@
-"""Property tests of the matrix kernels against the tuple-based library
-paths and the naive degree oracle.
+"""Property tests of the matrix kernels, and of the hypergraph queries
+that run on them, against the naive oracles of conftest.
 
 Ids are drawn up to 2^20 (21 key bits) and edges up to dimension 8, so
 cases fall on both sides of 63 // bit_length(n) ids per key, where the
@@ -16,9 +16,26 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from conftest import naive_degree_profile
+from conftest import (
+    naive_degree_profile,
+    naive_induce,
+    naive_is_independent,
+    naive_is_maximal,
+    naive_neighborhood,
+    naive_normalize,
+)
 from hypermis import _edgeops as ops
-from hypermis.core import Hypergraph, normalize
+from hypermis.bl import BlConfig, run_bl
+from hypermis.core import (
+    Hypergraph,
+    degree_profile,
+    induce,
+    is_independent,
+    is_maximal_independent,
+    neighborhood,
+    normalize,
+)
+from hypermis.sbl import SblConfig, run_sbl
 
 WIDE_N = 2 ** 20
 
@@ -40,21 +57,19 @@ def hypergraphs(draw):
     return Hypergraph(n, edges)
 
 
+def ranks(h: Hypergraph) -> dict[int, int]:
+    """The rank in 1..k of each of the k ids that occur in edges, in id order."""
+    return {v: i + 1 for i, v in enumerate(sorted({v for e in h.edges for v in e}))}
+
+
 def compact(h: Hypergraph) -> Hypergraph:
     """Relabel the ids that occur in edges to 1..k, keeping their order.
 
     Degrees do not depend on the labels, and the naive oracle enumerates
     every subset of 1..n, which only a compact id range allows.
     """
-    ids = sorted({v for e in h.edges for v in e})
-    rank = {v: i + 1 for i, v in enumerate(ids)}
-    return Hypergraph(len(ids), [[rank[v] for v in e] for e in h.edges])
-
-
-def kernel_normalize(h: Hypergraph) -> list[tuple[int, ...]]:
-    mat, sizes = ops.dedupe_rows(*ops.edge_matrix(h.edges))
-    mat, sizes = ops.prune_supersets(mat, sizes, h.n)
-    return sorted(ops.matrix_to_edges(mat, sizes))
+    rank = ranks(h)
+    return Hypergraph(len(rank), [[rank[v] for v in e] for e in h.edges])
 
 
 def kernel_delta(h: Hypergraph) -> float:
@@ -69,7 +84,7 @@ def oracle_delta(h: Hypergraph) -> float:
 @seed(1405_1133)
 @given(hypergraphs())
 def test_prune_supersets_matches_normalize(h):
-    assert kernel_normalize(h) == list(normalize(h).edges)
+    assert normalize(h) == naive_normalize(h)
 
 
 @seed(1405_1133)
@@ -112,10 +127,83 @@ def test_ranked_keys_at_dim_5_and_n_2_20():
         [1, 2, 3, 4, n - 4],  # same first four ids as the edge above
     ]
     h = Hypergraph(n, edges)
-    assert kernel_normalize(h) == list(normalize(h).edges)
-    assert len(kernel_normalize(h)) == len(edges) - 1
     hn = normalize(h)
+    assert hn == naive_normalize(h)
+    assert hn.m == len(edges) - 1
     assert kernel_delta(hn) == pytest.approx(oracle_delta(hn), rel=1e-12)
+
+
+@st.composite
+def vertex_sets(draw, h: Hypergraph):
+    """Ids of h's edges, with repeats and with ids outside 1..n."""
+    extra = st.sampled_from([0, 1, h.n, h.n + 1])
+    return draw(st.lists(st.sampled_from(list(ranks(h))) | extra, max_size=12))
+
+
+@seed(1405_1133)
+@given(hypergraphs(), st.data())
+def test_is_independent_matches_naive(h, data):
+    s = data.draw(vertex_sets(h))
+    assert is_independent(h, s) == naive_is_independent(h, s)
+
+
+@seed(1405_1133)
+@given(hypergraphs(), st.data())
+def test_is_maximal_independent_matches_naive(h, data):
+    rank = ranks(h)
+    ids = list(rank)
+    # a greedy maximal set less a few ids, plus a few more, so that both
+    # answers occur
+    s = []
+    for v in data.draw(st.permutations(ids)):
+        if naive_is_independent(h, [*s, v]):
+            s.append(v)
+    s = s[data.draw(st.integers(0, 2)) :] + data.draw(vertex_sets(h))
+    if h.n <= 300 and data.draw(st.booleans()):
+        s += sorted(set(range(1, h.n + 1)) - set(ids))
+    # vertices in no edge are never blocked; the oracle sweeps the rest,
+    # relabelled by compact()
+    isolated = {v for v in s if 1 <= v <= h.n} - set(ids)
+    want = len(isolated) == h.n - len(ids) and naive_is_maximal(
+        compact(h), [rank[v] for v in s if v in rank]
+    )
+    assert is_maximal_independent(h, s) == want
+    vertices = data.draw(st.lists(st.sampled_from(ids) | st.integers(1, h.n), max_size=10))
+    assert is_maximal_independent(h, s, vertices) == naive_is_maximal(h, s, vertices)
+
+
+@seed(1405_1133)
+@given(hypergraphs(), st.data())
+def test_neighborhood_matches_naive(h, data):
+    x = data.draw(st.lists(st.sampled_from(list(ranks(h))), min_size=1, max_size=3, unique=True))
+    if h.dim <= len(x):
+        return
+    j = data.draw(st.integers(1, h.dim - len(x)))
+    assert neighborhood(h, x, j) == naive_neighborhood(h, x, j)
+
+
+@seed(1405_1133)
+@given(hypergraphs(), st.data())
+def test_induce_matches_naive(h, data):
+    vs = data.draw(vertex_sets(h))
+    assert induce(h, vs) == naive_induce(h, vs)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [Hypergraph(4, [(1, 2, 3)]), Hypergraph(9, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 9)])],
+    ids=["one-edge", "one-size"],
+)
+def test_cached_arrays_are_read_only_and_kept(h):
+    mat, sizes = h.arrays
+    assert not mat.flags.writeable and not sizes.flags.writeable
+    want = mat.copy(), sizes.copy()
+    run_bl(h, BlConfig(seed=1))
+    run_bl(h, BlConfig(seed=1), vertex_set=range(1, h.n))
+    run_sbl(h, SblConfig(seed=2, p_override=0.5, d_cap_override=2))
+    degree_profile(h)
+    assert h.arrays[0] is mat and h.arrays[1] is sizes
+    assert (mat == want[0]).all() and (sizes == want[1]).all()
 
 
 def naive_tops(rows, counts):

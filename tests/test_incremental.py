@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import full_recompute as full
 from hypermis import _edgeops as ops
 from hypermis import bl, rng
-from hypermis.bl import P_MODE_FIXED, P_MODE_RECOMPUTE, BlConfig, ForcedMarks, KeyStream, make_state
+from hypermis.bl import P_MODE_FIXED, P_MODE_RECOMPUTE, BlConfig, KeyStream, make_state
 from hypermis.core import Hypergraph
 from hypermis.sbl import SblConfig, sbl_round
+from single_round import ForcedMarks
 
 WIDE_N = 2 ** 20
 ROUNDS = 12
