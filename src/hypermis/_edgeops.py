@@ -39,6 +39,8 @@ def edge_matrix(edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_to_edges(mat: np.ndarray, sizes: np.ndarray) -> list[tuple[int, ...]]:
+    if (sizes == mat.shape[1]).all():
+        return list(zip(*mat.T.tolist()))
     return [tuple(row[:size]) for row, size in zip(mat.tolist(), sizes.tolist())]
 
 
@@ -163,6 +165,19 @@ def _row_keys(rows: np.ndarray, bits: int, ranks: list | None = None) -> np.ndar
         key = (key << shift) | rows[:, c].astype(np.uint64)
         used += bits
     return key
+
+
+def lex_keys(mat: np.ndarray, n: int) -> np.ndarray:
+    """Keys of the rows of a padded matrix of ids up to n, equal exactly
+    when the rows are and ordered as the rows are, lexicographically: the
+    ids packed in one int64 where they fit, else :func:`_row_keys` where
+    its ranks fit, else the ranks of the distinct rows."""
+    bits = max(n.bit_length(), 1)
+    if mat.shape[1] * bits <= 63:
+        return mat @ (1 << bits * np.arange(mat.shape[1] - 1, -1, -1))
+    if bits + mat.shape[0].bit_length() <= 63:
+        return _row_keys(mat, bits)
+    return np.unique(mat, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def prune_supersets(

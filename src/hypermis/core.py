@@ -71,6 +71,24 @@ class Hypergraph:
         self.edges = tuple(canon)
         self._arrays = None
 
+    @classmethod
+    def _from_rows(cls, n: int, mat: np.ndarray, sizes: np.ndarray) -> Hypergraph:
+        """The hypergraph of the rows of a padded id matrix (the layout of
+        :attr:`arrays`), each row sorted, its ids distinct and inside 1..n;
+        none of this is checked.  The rows are sorted into edge order and
+        kept as :attr:`arrays`."""
+        width = int(sizes.max(initial=1))
+        if mat.shape[1] != width:
+            mat = mat[:, :width]
+        if len(sizes) > 1:
+            order = np.argsort(ops.lex_keys(mat, n))
+            mat, sizes = mat[order], sizes[order]
+        h = cls.__new__(cls)
+        h.n, h.edges, h._arrays = n, tuple(ops.matrix_to_edges(mat, sizes)), (mat, sizes)
+        for a in h._arrays:
+            a.flags.writeable = False
+        return h
+
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (mat, sizes) of :func:`hypermis._edgeops.edge_matrix`
@@ -112,23 +130,31 @@ def normalize(h: Hypergraph) -> Hypergraph:
     """Collapse duplicate edges and drop every edge strictly containing
     another edge.  The vertex set is untouched; idempotent.
     """
-    mat, sizes = ops.prune_supersets(*ops.dedupe_rows(*h.arrays), h.n)
-    return Hypergraph(h.n, ops.matrix_to_edges(mat, sizes))
+    return Hypergraph._from_rows(h.n, *ops.prune_supersets(*ops.dedupe_rows(*h.arrays), h.n))
 
 
-def _ids(vs: Iterable[int]) -> np.ndarray:
-    """Sorted distinct ids of `vs` as an array."""
-    if not isinstance(vs, np.ndarray):
-        vs = np.fromiter(vs, dtype=np.int64)
-    return ops.distinct(vs)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _ids(vs: Iterable[int]) -> tuple[np.ndarray, set[int]]:
+    """Sorted distinct ids of `vs` as an int64 array, and the set of those
+    ids that int64 cannot hold (no edge holds them either)."""
+    if isinstance(vs, np.ndarray):
+        return ops.distinct(vs), set()
+    vs = list(vs)
+    try:
+        return ops.distinct(np.fromiter(vs, dtype=np.int64, count=len(vs))), set()
+    except OverflowError:
+        wide = {v for v in vs if not _INT64_MIN <= v <= _INT64_MAX}
+        return ops.distinct(np.array([v for v in vs if v not in wide], dtype=np.int64)), wide
 
 
 def induce(h: Hypergraph, vs: Iterable[int]) -> Hypergraph:
     """Sub-hypergraph on `vs`: keeps exactly the edges fully inside `vs`,
     with vertex ids preserved (no renumbering)."""
     mat, sizes = h.arrays
-    inside = ops.rows_inside(mat, sizes, _ids(vs))
-    return Hypergraph(h.n, ops.matrix_to_edges(mat[inside], sizes[inside]))
+    inside = ops.rows_inside(mat, sizes, _ids(vs)[0])
+    return Hypergraph._from_rows(h.n, mat[inside], sizes[inside])
 
 
 def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...]]:
@@ -141,9 +167,12 @@ def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...
         raise ValueError("x must be non-empty")
     if j < 1 or j > h.dim - len(xt):
         raise BadArityError(f"j={j} outside [1, {h.dim - len(xt)}] for |x|={len(xt)}")
+    ids, wide = _ids(xt)
+    if wide:
+        return []
     mat, sizes = h.arrays
     rows = mat[sizes == len(xt) + j, : len(xt) + j]
-    in_x = ops.member(rows, np.array(xt, dtype=np.int64))
+    in_x = ops.member(rows, ids)
     holds = in_x.sum(axis=1) == len(xt)
     ys = rows[holds][~in_x[holds]].reshape(-1, j)
     return sorted(set(map(tuple, ys.tolist())))
@@ -188,7 +217,7 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
 
 def is_independent(h: Hypergraph, s: Iterable[int]) -> bool:
     """True iff no edge is fully contained in s (s is maximal on no vertices)."""
-    return ops.is_maximal_on(*h.arrays, _ids(s), _ids(()))
+    return ops.is_maximal_on(*h.arrays, _ids(s)[0], np.zeros(0, dtype=np.int64))
 
 
 def is_maximal_independent(
@@ -201,8 +230,14 @@ def is_maximal_independent(
     induced on `vertices`: an edge leaving `vertices` has a vertex
     outside s, so it can only block vertices outside the range.
     """
-    vs = np.arange(1, h.n + 1, dtype=np.int64) if vertices is None else _ids(vertices)
-    return ops.is_maximal_on(*h.arrays, _ids(s), vs)
+    s, s_wide = _ids(s)
+    if vertices is None:
+        vs, vs_wide = np.arange(1, h.n + 1, dtype=np.int64), set()
+    else:
+        vs, vs_wide = _ids(vertices)
+    if not vs_wide <= s_wide:  # an id on no edge, outside s, is never blocked
+        return False
+    return ops.is_maximal_on(*h.arrays, s, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +249,63 @@ def is_maximal_independent(
 def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text.  A non-integer token, a repeated id within an edge
     or an id outside 1..n raises ValueError naming its 1-based line,
-    comment lines counted."""
+    comment lines counted.
+
+    When every line after the header holds only ASCII digits and spaces
+    (as :func:`format_hg` writes them), the ids are read and checked in one
+    array pass.  Any other text, and any text that fails a check there, is
+    parsed line by line, which finds and names the first bad line; so is a
+    text under _ARRAY_TEXT characters, whose few lines cost less than the
+    array pass's fixed numpy overhead (about 60 us).
+    """
+    h = _parse_hg_arrays(text) if len(text) >= _ARRAY_TEXT else None
+    return _parse_hg_lines(text) if h is None else h
+
+
+_ARRAY_TEXT = 512
+_DIGITS = 18  # longer ids may not fit int64: the line-by-line parser reads them
+
+
+def _parse_hg_arrays(text: str) -> Hypergraph | None:
+    """:func:`parse_hg` in array passes; None where it does not apply or
+    a check fails."""
+    lines = text.splitlines()
+    content = (i for i, ln in enumerate(lines) if ln.strip() and not ln.strip().startswith("#"))
+    at = next(content, None)
+    head = [] if at is None else lines[at].split()
+    if len(head) != 2 or not all(t.isascii() and t.isdigit() and len(t) <= _DIGITS for t in head):
+        return None
+    n, m = int(head[0]), int(head[1])
+    body = "\n".join(lines[at + 1 :]).encode()
+    chars = np.frombuffer(body, dtype=np.uint8)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    newline = chars == ord("\n")
+    if not (digit | newline | (chars == ord(" "))).all():
+        return None
+    step = np.diff(digit.view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    if len(starts) and (ends - starts).max() > _DIGITS:
+        return None
+    sizes = np.bincount(np.searchsorted(np.flatnonzero(newline), starts), minlength=1)
+    sizes = sizes[sizes > 0]  # blank lines hold no edge
+    if len(sizes) != m:
+        return None
+    if not m:
+        return Hypergraph(n, ())
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    if ids.min() < 1 or ids.max() > n:
+        return None
+    mat = np.full((m, int(sizes.max())), n + 1, dtype=np.int64)
+    valid = ops.valid_mask(mat, sizes)
+    mat[valid] = ids
+    mat.sort(axis=1)  # the padding n + 1 sorts last
+    if (mat[:, 1:] == mat[:, :-1])[valid[:, 1:]].any():
+        return None
+    mat[~valid] = 0
+    return Hypergraph._from_rows(n, mat, sizes)
+
+
+def _parse_hg_lines(text: str) -> Hypergraph:
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -264,8 +355,11 @@ def format_hg(h: Hypergraph, comment: str | None = None) -> str:
         for ln in comment.splitlines():
             out.append(f"# {ln}")
     out.append(f"{h.n} {h.m}")
-    for e in h.edges:
-        out.append(" ".join(str(v) for v in e))
+    if h.m:
+        mat, sizes = h.arrays
+        line = [" ".join(["%d"] * s) for s in range(mat.shape[1] + 1)]
+        template = "\n".join(map(line.__getitem__, sizes.tolist()))
+        out.append(template % tuple(mat[ops.valid_mask(mat, sizes)].tolist()))
     return "\n".join(out) + "\n"
 
 

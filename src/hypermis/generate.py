@@ -7,14 +7,28 @@ exactly m edges), and `linear` rejection-samples d-subsets until any two
 edges share at most one vertex.  Everything is driven by the
 counter-based stream, so a (spec, seed) pair always yields the same
 hypergraph.
+
+`uniform-d` keeps the first m distinct draws of `Stream.sample_ids`.
+Where enough draws are needed and a window of d stream words usually
+holds d distinct ids (`rng.blocks_pay`), they are drawn in blocks by
+`Stream.sample_rows`, which mixes many counters at once and hands only
+the windows with a repeated id or a rejected word to sample_ids, and
+repeated edges are found by row keys; otherwise (few edges, or d close
+to n) sample_ids is called once per draw, as the blocks would mostly
+call it anyway.  Both give the same edges and raise InfeasibleError
+after the same number of draws.  Every family builds its Hypergraph
+from the edge matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress
 
+import numpy as np
+
+from . import _edgeops as ops
 from . import rng
 from .core import Hypergraph
 
@@ -40,8 +54,8 @@ class GenSpec:
     dim_range: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n < 1 << 63:
+            raise ValueError("n must lie in [1, 2^63): edges are held as int64 ids")
         if self.kind not in (KIND_UNIFORM, KIND_MIXED, KIND_LINEAR):
             raise ValueError(f"unknown kind {self.kind!r}")
         if (self.m is None) == (self.edge_probability is None):
@@ -77,47 +91,67 @@ def gen(spec: GenSpec) -> Hypergraph:
     rejects comparable edges."""
     stream = rng.Stream(spec.seed, rng.TAG_GEN)
     if spec.kind == KIND_UNIFORM:
-        edges = _gen_uniform(spec, stream)
-    elif spec.kind == KIND_MIXED:
+        rows = _gen_uniform(spec, stream)
+        return Hypergraph._from_rows(spec.n, rows, np.full(len(rows), spec.dim))
+    if spec.kind == KIND_MIXED:
         edges = _gen_mixed(spec, stream)
     else:
         edges = _gen_linear(spec, stream)
-    return Hypergraph(spec.n, edges)
+    return Hypergraph._from_rows(spec.n, *ops.edge_matrix(edges))
 
 
-def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:
-    d = spec.dim
+def _attempt_cap(m: int) -> int:
+    """Draws a generator makes before it gives up on placing m edges is
+    one more than this."""
+    return 200 * m + 10_000
+
+
+def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> np.ndarray:
+    """The edges as rows: the first m distinct draws of
+    :meth:`rng.Stream.sample_ids`, or in edge_probability mode each
+    d-subset with a coin below the probability, coin i for the i-th in
+    lexicographic order."""
+    n, d, m = spec.n, spec.dim, spec.m
     if spec.edge_probability is not None:
-        total = math.comb(spec.n, d)
+        total = math.comb(n, d)
         if total > _ENUM_BUDGET:
             raise InfeasibleError(
-                f"edge_probability mode enumerates C({spec.n},{d})={total} subsets"
+                f"edge_probability mode enumerates C({n},{d})={total} subsets"
             )
-        return [
-            e
-            for e in combinations(range(1, spec.n + 1), d)
-            if stream.u01() < spec.edge_probability
-        ]
-    if spec.m > math.comb(spec.n, d):
+        picked = rng.uniforms(stream.key, np.arange(total)) < spec.edge_probability
+        edges = compress(combinations(range(1, n + 1), d), picked.tolist())
+        return np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, d)
+    if m > math.comb(n, d):
         raise InfeasibleError(
-            f"m={spec.m} exceeds the {math.comb(spec.n, d)} distinct {d}-subsets"
+            f"m={m} exceeds the {math.comb(n, d)} distinct {d}-subsets"
         )
-    chosen: set[tuple[int, ...]] = set()
-    attempts = 0
-    cap = 200 * spec.m + 10_000
-    while len(chosen) < spec.m:
-        if attempts > cap:
-            raise InfeasibleError(f"could not place {spec.m} distinct edges")
-        attempts += 1
-        chosen.add(stream.sample_ids(spec.n, d))
-    return sorted(chosen)
+    cap = _attempt_cap(m)
+    if not rng.blocks_pay(n, d, m):
+        chosen: set[tuple[int, ...]] = set()
+        attempts = 0
+        while len(chosen) < m:
+            if attempts > cap:
+                raise InfeasibleError(f"could not place {m} distinct edges")
+            attempts += 1
+            chosen.add(stream.sample_ids(n, d))
+        return np.array(sorted(chosen), dtype=np.int64).reshape(m, d)
+    limit = cap + 1
+    rows = np.zeros((0, d), dtype=np.int64)
+    first = np.zeros(0, dtype=np.intp)  # the draw that first gives each distinct edge
+    while len(first) < m:
+        if len(rows) == limit:
+            raise InfeasibleError(f"could not place {m} distinct edges")
+        more = min(max(m - len(first), len(rows) // 4), limit - len(rows))
+        rows = np.concatenate([rows, stream.sample_rows(n, d, more)])
+        first = np.sort(np.unique(ops.lex_keys(rows, n), return_index=True)[1])
+    return rows[first[:m]]
 
 
 def _gen_mixed(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:
     lo, hi = spec.dim_range
     edges: list[tuple[int, ...]] = []
     attempts = 0
-    cap = 200 * spec.m + 10_000
+    cap = _attempt_cap(spec.m)
     while len(edges) < spec.m:
         if attempts > cap:
             raise InfeasibleError(
@@ -136,7 +170,7 @@ def _gen_linear(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:
     d = spec.dim
     edges: list[tuple[int, ...]] = []
     attempts = 0
-    cap = 200 * spec.m + 10_000
+    cap = _attempt_cap(spec.m)
     while len(edges) < spec.m:
         if attempts > cap:
             raise InfeasibleError(

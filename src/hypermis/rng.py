@@ -14,6 +14,10 @@ vectorized.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+from itertools import combinations
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -71,6 +75,13 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _words(key: int, ids: np.ndarray) -> np.ndarray:
+    """The mixed 64-bit word of each id (or counter) for the stream key."""
+    words = np.asarray(ids, dtype=np.uint64) * np.uint64(_PHI)
+    words ^= np.uint64(key)
+    return _mix64_array(words)
+
+
 def uniforms(key: int, ids: np.ndarray) -> np.ndarray:
     """Uniform [0,1) doubles, one per id, for the given stream key.
 
@@ -78,9 +89,7 @@ def uniforms(key: int, ids: np.ndarray) -> np.ndarray:
     odd-multiplier bijection before mixing), so per-id coins within one
     key never collide structurally.
     """
-    words = np.asarray(ids, dtype=np.uint64) * np.uint64(_PHI)
-    words ^= np.uint64(key)
-    return (_mix64_array(words) >> np.uint64(11)) * (2.0 ** -53)
+    return (_words(key, ids) >> np.uint64(11)) * (2.0 ** -53)
 
 
 def uniform(key: int, counter: int) -> float:
@@ -103,6 +112,24 @@ def uniform_grid(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return grid * (2.0 ** -53)
 
 
+def _span(bound: int) -> int:
+    """Rejection bound of :meth:`Stream.randbelow`: the largest multiple
+    of `bound` that is at most 2^64 - 1.  A word at or above it is drawn
+    again, so that `word % bound` is uniform."""
+    return (_MASK // bound) * bound
+
+
+def blocks_pay(n: int, k: int, count: int) -> bool:
+    """Whether :meth:`Stream.sample_rows` beats `count` calls of
+    :meth:`Stream.sample_ids`.  It does not for fewer than about 128
+    words, whose block costs more than it saves, nor when under 60 % of
+    the windows of k words give a draw (k ids that often repeat one, or
+    an n so large that many words are rejected), since each other window
+    costs a call of sample_ids anyway."""
+    good = math.prod((n - i) / n for i in range(k)) * (_span(n) / 2.0**64) ** k
+    return count * k >= 128 and good >= 0.6
+
+
 class Stream:
     """Sequential draw helper over a counter-based key (for generators)."""
 
@@ -119,7 +146,7 @@ class Stream:
         """Uniform int in [0, bound).  Uses rejection to avoid modulo bias."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        span = (_MASK // bound) * bound
+        span = _span(bound)
         while True:
             word = ((self.counter & _MASK) * _PHI) & _MASK
             self.counter += 1
@@ -137,5 +164,55 @@ class Stream:
             raise ValueError(f"cannot sample {k} of {n}")
         chosen: set[int] = set()
         while len(chosen) < k:
-            chosen.add(self.randint(1, n))
+            chosen.add(1 + self.randbelow(n))
         return tuple(sorted(chosen))
+
+    def sample_rows(self, n: int, k: int, count: int) -> np.ndarray:
+        """`count` draws of :meth:`sample_ids` in a row, as the rows of a
+        (count, k) int64 array; the counter ends where the last draw
+        leaves it.  Ids must lie below 2^63.
+
+        The words of a block of counters are mixed at once.  The k words
+        from counter c are the draw at c, ending at c + k, when all pass
+        the rejection bound and give distinct ids; any other draw is made
+        by :meth:`sample_ids`, and the block resumes where it stops.
+        """
+        out = np.empty((count, k), dtype=np.int64)
+        span, got = np.uint64(_span(n)), 0
+        while got < count:
+            start = self.counter
+            size = (count - got) * k * 17 // 16 + k + 16  # room for some redraws
+            z = _words(self.key, np.arange(start, start + size, dtype=np.uint64))
+            ids = (z % np.uint64(n)).astype(np.int64) + 1
+            last = size - k + 1  # windows of k words start at 0 .. last - 1
+            bad = z[:last] >= span
+            for i in range(1, k):
+                bad |= z[i : i + last] >= span
+            for i, j in combinations(range(k), 2):
+                bad |= ids[i : i + last] == ids[j : j + last]
+            # the bad windows by position mod k: a draw that ends at p is
+            # followed by the draws at p, p + k, ... up to the next one
+            by_phase = [[] for _ in range(k)]
+            for q in np.flatnonzero(bad).tolist():
+                by_phase[q % k].append(q)
+            runs = []  # (first draw, its window, draws) of each run of windows
+            p = 0
+            while True:
+                phase = by_phase[p % k]
+                at = bisect_left(phase, p)
+                stop = phase[at] if at < len(phase) else last
+                run = min(len(range(p, stop, k)), count - got)
+                runs.append((got, p, run))
+                got, p = got + run, p + run * k
+                if got == count or p >= last:
+                    break
+                self.counter = start + p
+                out[got] = self.sample_ids(n, k)
+                got, p = got + 1, self.counter - start
+            first, window, length = np.array(runs).T
+            step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+            windows = np.repeat(window, length) + k * step
+            drawn = ids[windows[:, None] + np.arange(k)]
+            out[np.repeat(first, length) + step] = np.sort(drawn, axis=1)
+            self.counter = start + p
+        return out

@@ -2,7 +2,15 @@ import tracemalloc
 
 import pytest
 
-from conftest import H0, instance_stream, naive_degree_profile, naive_is_independent, naive_is_maximal
+from conftest import (
+    H0,
+    instance_stream,
+    naive_degree_profile,
+    naive_induce,
+    naive_is_independent,
+    naive_is_maximal,
+    naive_neighborhood,
+)
 from hypermis._edgeops import deg_less
 from hypermis.core import (
     BadArityError,
@@ -193,6 +201,41 @@ class TestInduce:
             hn = normalize(h)
             assert induce(hn, hn.vertices) == hn
             assert induce(hn, []).m == 0
+
+
+class TestIdsPastInt64:
+    """Ids int64 cannot hold lie on no edge; the queries answer as the
+    naive oracles do instead of failing to convert them."""
+
+    @pytest.mark.parametrize("s", [[2**70], [1, 2, 2**70], [1, 2, 3, 2**63], [-(2**70), 4, 5]])
+    def test_is_independent(self, s):
+        assert is_independent(H0, s) == naive_is_independent(H0, s)
+
+    @pytest.mark.parametrize("vs", [[2**70], [3, 4, 5, 2**70], [1, 2, 3, -(2**64)]])
+    def test_induce(self, vs):
+        assert induce(H0, vs) == naive_induce(H0, vs)
+
+    @pytest.mark.parametrize(
+        "s, vertices",
+        [
+            ([1, 2, 4], [2**70]),  # an unblocked vertex outside s
+            ([1, 2, 4, 2**70], [2**70]),  # in s
+            ([1, 2, 4, 2**70], [2**70, 2**71]),
+            ([1, 2, 4, 2**70], [3, 5, 2**70]),
+            ([1, 2, 3, 2**70], [2**70]),  # s is not independent
+            ([2**70], None),
+            ([1, 2, 4, 2**70], None),
+        ],
+    )
+    def test_is_maximal_independent(self, s, vertices):
+        want = naive_is_maximal(H0, s, vertices)
+        assert is_maximal_independent(H0, s, vertices) == want
+
+    def test_neighborhood(self):
+        for x, j in [([2**70], 1), ([2**70], 2), ([3, 2**70], 1)]:
+            assert neighborhood(H0, x, j) == naive_neighborhood(H0, x, j) == []
+        with pytest.raises(BadArityError):
+            neighborhood(H0, [2**70], 3)
 
 
 class TestHgFormat:
