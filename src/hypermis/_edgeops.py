@@ -5,7 +5,9 @@ sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 1-based, so 0 never collides); each Hypergraph caches its own, read-only.
 Kernels keep rows sorted and never write to their input, which they may
 return as is; the one stateful piece is :class:`SubsetCounts`, the
-subset-count tables the marking solver updates row by row.
+subset-count tables behind every degree pair: the marking solver updates
+them row by row, and :func:`hypermis.core.degree_profile` and
+:func:`max_norm_degree` build them from scratch.
 
 Subsets are matched and counted by uint64 keys, one scheme at any edge
 width: ids are bit-packed while the key fits in 63 bits; before a column
@@ -212,34 +214,6 @@ def prune_supersets(
     return drop_rows(mat, sizes, doomed)
 
 
-def degree_pairs(
-    mat: np.ndarray, sizes: np.ndarray, n: int
-) -> dict[int, tuple[int, int]]:
-    """Best (count, j) pair for each edge size s >= 2 present, ascending.
-
-    count is the number of size-s edges sharing some subset x of size
-    s - j; the normalized degree it encodes is count^(1/j).  Candidates
-    are compared exactly with :func:`deg_less`; among equal degrees the
-    largest j wins.  The t = 1 count allocates one counter per id up to
-    the largest id present.
-    """
-    best: dict[int, tuple[int, int]] = {}
-    present = np.flatnonzero(np.bincount(sizes))
-    bits = max(n.bit_length(), 1)
-    for s in present[present >= 2].tolist():
-        rows = mat[sizes == s, :s]
-        pairs = []
-        for t in range(1, s):
-            if t == 1:
-                c = int(np.bincount(rows.ravel()).max())
-            else:
-                keys = _row_keys(_subsets(rows, t).T, bits)
-                c = int(np.unique(keys, return_counts=True)[1].max())
-            pairs.append((c, s - t))
-        best[s] = best_pair(pairs)
-    return best
-
-
 def best_pair(pairs) -> tuple[int, int] | None:
     """The first largest of an iterable of (count, j) degree pairs, None
     when it is empty."""
@@ -248,14 +222,6 @@ def best_pair(pairs) -> tuple[int, int] | None:
         if best is None or deg_less(best, pair):
             best = pair
     return best
-
-
-def max_norm_degree(
-    mat: np.ndarray, sizes: np.ndarray, n: int
-) -> tuple[int, int] | None:
-    """Best (count, j) pair over all subset degrees, None if no edge of
-    size >= 2 exists; among equal degrees the smallest edge size wins."""
-    return best_pair(degree_pairs(mat, sizes, n).values())
 
 
 def degree_value(pair: tuple[int, int] | None) -> float:
@@ -271,9 +237,11 @@ def degree_value(pair: tuple[int, int] | None) -> float:
 
 
 class SubsetCounts:
-    """The counts behind :func:`degree_pairs`, kept up to date as rows
-    are counted and uncounted, so the best degree pair is read without a
-    pass over the rows.
+    """Subset counts of the rows, the one source of degree pairs: built
+    from scratch for :func:`hypermis.core.degree_profile` and
+    :func:`max_norm_degree`, and kept up to date by the solvers as rows are
+    counted and uncounted, so a round reads its degree pair without a pass
+    over the rows.
 
     A t-subset is numbered by its index in keys[t], the sorted keys of
     the t-subsets of the rows given at construction (:func:`_row_keys`
@@ -336,9 +304,29 @@ class SubsetCounts:
         for i in np.flatnonzero(emptied).tolist():
             self.top[i] = np.flatnonzero(self.hist[i, : self.top[i]])[-1]
 
+    def pairs(self, nsize: np.ndarray) -> dict[int, tuple[int, int]]:
+        """Best (count, j) pair of each edge size s >= 2 among the counted
+        rows, of which nsize[s] have size s, for the sizes with rows,
+        ascending: count rows of size s share a subset of size s - j, a
+        normalized degree of count^(1/j).  Among equal degrees the largest
+        j wins."""
+        by_size: dict[int, list[tuple[int, int]]] = {}
+        for (s, t), c in zip(self.tables, self.top.tolist()):
+            if nsize[s]:
+                by_size.setdefault(s, []).append((c, s - t))
+        return {s: best_pair(p) for s, p in by_size.items()}
+
     def best(self, nsize: np.ndarray) -> tuple[int, int] | None:
-        """The pair :func:`max_norm_degree` gives on the counted rows, of
-        which nsize[s] have size s."""
-        return best_pair(
-            (int(self.top[i]), s - t) for i, (s, t) in enumerate(self.tables) if nsize[s]
-        )
+        """Best pair over all sizes of :meth:`pairs`; among equal degrees
+        the smallest edge size wins."""
+        return best_pair(self.pairs(nsize).values())
+
+
+def max_norm_degree(
+    mat: np.ndarray, sizes: np.ndarray, n: int
+) -> tuple[int, int] | None:
+    """Best (count, j) pair over all subset degrees, None if no edge of
+    size >= 2 exists: :meth:`SubsetCounts.best` counted from scratch.  No
+    solver calls it (they keep their counts); it stays as an entry point
+    for the benchmark tracer and the tests."""
+    return SubsetCounts(mat, sizes, n).best(np.bincount(sizes))

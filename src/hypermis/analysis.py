@@ -101,17 +101,20 @@ def eval_P(wh: WeightedHypergraph, p: float, x: Iterable[int]) -> float:
 
 def eval_D(wh: WeightedHypergraph, p: float) -> float:
     """max over x of eval_P; only x = empty set or subsets of edges can
-    attain the maximum (any other x sees no edge at all)."""
-    best = eval_P(wh, p, ())
-    seen: set[tuple[int, ...]] = set()
-    for e in wh.base.edges:
-        for t in range(1, len(e) + 1):
+    attain the maximum (any other x sees no edge at all).
+
+    One pass over the edges adds each edge's term to the total of every
+    subset x of it.  A total starts from the int 0 and takes its terms in
+    edge order, as eval_P's sum does, so it is eval_P(wh, p, x) to the bit.
+    """
+    eval_P(wh, p, ())  # checks p
+    totals: dict[tuple[int, ...], float] = {}
+    for e, w in wh.weights.items():
+        for t in range(len(e) + 1):
+            term = w * p ** (len(e) - t)
             for x in combinations(e, t):
-                if x in seen:
-                    continue
-                seen.add(x)
-                best = max(best, eval_P(wh, p, x))
-    return best
+                totals[x] = totals.get(x, 0) + term
+    return max(totals.values(), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,11 @@ def _solve_config(args, h: Hypergraph) -> dict:
         "trace": args.trace,
     }
     if args.algo == "bl":
+        bcfg = _bl_config(args)
         cfg.update(
-            p_mode=bl.P_MODE_FIXED if args.fixed_p else bl.P_MODE_RECOMPUTE,
-            p_override=args.p,
-            max_rounds=args.max_rounds or bl.default_max_rounds(h.n),
+            p_mode=bcfg.p_mode,
+            p_override=bcfg.p_override,
+            max_rounds=bcfg.max_rounds or bl.default_max_rounds(h.n),
         )
     if args.algo == "sbl":
         scfg = _sbl_config(args)
@@ -123,6 +124,15 @@ def _solve_config(args, h: Hypergraph) -> dict:
             d_suggested_by_analysis=d_analysis,
         )
     return cfg
+
+
+def _bl_config(args) -> bl.BlConfig:
+    return bl.BlConfig(
+        seed=args.seed,
+        p_mode=bl.P_MODE_FIXED if args.fixed_p else bl.P_MODE_RECOMPUTE,
+        p_override=args.p,
+        max_rounds=args.max_rounds,
+    )
 
 
 def _sbl_config(args) -> sbl.SblConfig:
@@ -149,13 +159,7 @@ def _cmd_solve(args) -> int:
         mis = greedy_mis(h, list(h.vertices))
         status = "ok"
     elif args.algo == "bl":
-        cfg = bl.BlConfig(
-            seed=args.seed,
-            p_mode=bl.P_MODE_FIXED if args.fixed_p else bl.P_MODE_RECOMPUTE,
-            p_override=args.p,
-            max_rounds=args.max_rounds,
-        )
-        res = bl.run_bl(h, cfg)
+        res = bl.run_bl(h, _bl_config(args))
         mis, status, trace = res.mis, res.status, res.trace_jsonl()
         extra["rounds_used"] = len(res.rounds)
     else:

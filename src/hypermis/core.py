@@ -197,16 +197,18 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
 
     Requires at least one edge of size >= 2 (otherwise the quantities
     are undefined and NoEdgesError is raised); the input should be
-    normalized so edge multiplicities do not inflate counts.  The ids
-    present are relabelled to 1..k first, so memory follows the edges,
-    not n.
+    normalized so edge multiplicities do not inflate counts.  The pairs
+    are read from :class:`hypermis._edgeops.SubsetCounts`, the counter
+    the solvers keep, built on the edge matrix with the ids present
+    relabelled to 1..k, so that subset keys follow the edges, not n.
+    An edge size with no edges gets delta_i 0.0.
     """
     mat, sizes = h.arrays
     valid = ops.valid_mask(mat, sizes)
     ids, rank = np.unique(mat[valid], return_inverse=True)
     ranked = np.zeros_like(mat)
     ranked[valid] = rank + 1
-    pairs = ops.degree_pairs(ranked, sizes, len(ids))
+    pairs = ops.SubsetCounts(ranked, sizes, len(ids)).pairs(np.bincount(sizes))
     if not pairs:
         raise NoEdgesError("no edge of size >= 2")
     delta_i = dict.fromkeys(range(2, h.dim + 1), 0.0)
@@ -254,15 +256,12 @@ def parse_hg(text: str) -> Hypergraph:
     When every line after the header holds only ASCII digits and spaces
     (as :func:`format_hg` writes them), the ids are read and checked in one
     array pass.  Any other text, and any text that fails a check there, is
-    parsed line by line, which finds and names the first bad line; so is a
-    text under _ARRAY_TEXT characters, whose few lines cost less than the
-    array pass's fixed numpy overhead (about 60 us).
+    parsed line by line, which finds and names the first bad line.
     """
-    h = _parse_hg_arrays(text) if len(text) >= _ARRAY_TEXT else None
+    h = _parse_hg_arrays(text)
     return _parse_hg_lines(text) if h is None else h
 
 
-_ARRAY_TEXT = 512
 _DIGITS = 18  # longer ids may not fit int64: the line-by-line parser reads them
 
 

@@ -8,16 +8,12 @@ edges share at most one vertex.  Everything is driven by the
 counter-based stream, so a (spec, seed) pair always yields the same
 hypergraph.
 
-`uniform-d` keeps the first m distinct draws of `Stream.sample_ids`.
-Where enough draws are needed and a window of d stream words usually
-holds d distinct ids (`rng.blocks_pay`), they are drawn in blocks by
-`Stream.sample_rows`, which mixes many counters at once and hands only
-the windows with a repeated id or a rejected word to sample_ids, and
-repeated edges are found by row keys; otherwise (few edges, or d close
-to n) sample_ids is called once per draw, as the blocks would mostly
-call it anyway.  Both give the same edges and raise InfeasibleError
-after the same number of draws.  Every family builds its Hypergraph
-from the edge matrix.
+`uniform-d` keeps the first m distinct draws of `Stream.sample_ids`,
+drawn in blocks by `Stream.sample_rows`, which mixes many counters at
+once and hands only the windows with a repeated id or a rejected word to
+sample_ids; repeated edges are found by row keys, and InfeasibleError
+comes after exactly the draws a loop over sample_ids would make.  Every
+family builds its Hypergraph from the edge matrix.
 """
 
 from __future__ import annotations
@@ -125,17 +121,7 @@ def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> np.ndarray:
         raise InfeasibleError(
             f"m={m} exceeds the {math.comb(n, d)} distinct {d}-subsets"
         )
-    cap = _attempt_cap(m)
-    if not rng.blocks_pay(n, d, m):
-        chosen: set[tuple[int, ...]] = set()
-        attempts = 0
-        while len(chosen) < m:
-            if attempts > cap:
-                raise InfeasibleError(f"could not place {m} distinct edges")
-            attempts += 1
-            chosen.add(stream.sample_ids(n, d))
-        return np.array(sorted(chosen), dtype=np.int64).reshape(m, d)
-    limit = cap + 1
+    limit = _attempt_cap(m) + 1
     rows = np.zeros((0, d), dtype=np.int64)
     first = np.zeros(0, dtype=np.intp)  # the draw that first gives each distinct edge
     while len(first) < m:

@@ -14,9 +14,7 @@ vectorized.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from itertools import combinations
 
 import numpy as np
 
@@ -119,15 +117,16 @@ def _span(bound: int) -> int:
     return (_MASK // bound) * bound
 
 
-def blocks_pay(n: int, k: int, count: int) -> bool:
-    """Whether :meth:`Stream.sample_rows` beats `count` calls of
-    :meth:`Stream.sample_ids`.  It does not for fewer than about 128
-    words, whose block costs more than it saves, nor when under 60 % of
-    the windows of k words give a draw (k ids that often repeat one, or
-    an n so large that many words are rejected), since each other window
-    costs a call of sample_ids anyway."""
-    good = math.prod((n - i) / n for i in range(k)) * (_span(n) / 2.0**64) ** k
-    return count * k >= 128 and good >= 0.6
+def _window_any(flags: np.ndarray, width: int) -> np.ndarray:
+    """out[q] = flags[q : q + width].any() for every window that fits, in
+    about log2(width) passes: each pass widens the windows, at most
+    doubling them."""
+    out, covered = flags, 1
+    while covered < width:
+        step = min(covered, width - covered)
+        out = out[:-step] | out[step:]
+        covered += step
+    return out
 
 
 class Stream:
@@ -185,11 +184,9 @@ class Stream:
             z = _words(self.key, np.arange(start, start + size, dtype=np.uint64))
             ids = (z % np.uint64(n)).astype(np.int64) + 1
             last = size - k + 1  # windows of k words start at 0 .. last - 1
-            bad = z[:last] >= span
-            for i in range(1, k):
-                bad |= z[i : i + last] >= span
-            for i, j in combinations(range(k), 2):
-                bad |= ids[i : i + last] == ids[j : j + last]
+            bad = _window_any(z >= span, k)
+            for gap in range(1, k):  # equal ids `gap` words apart
+                bad |= _window_any(ids[gap:] == ids[:-gap], k - gap)
             # the bad windows by position mod k: a draw that ends at p is
             # followed by the draws at p, p + k, ... up to the next one
             by_phase = [[] for _ in range(k)]

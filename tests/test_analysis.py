@@ -1,6 +1,9 @@
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from conftest import H0, instance_stream
 from hypermis import analysis as an
@@ -67,6 +70,29 @@ class TestPolynomials:
             wh = random_weighted(h, 100 + idx)
             for p in (0.1, 0.6, 1.0):
                 assert an.eval_D(wh, p) >= an.eval_P(wh, p, ()) - 1e-15
+
+
+@st.composite
+def weighted_hypergraphs(draw):
+    """Distinct edges of mixed sizes 1-4 on up to 7 ids, positive weights."""
+    n = draw(st.integers(1, 7))
+    edge = st.frozensets(st.integers(1, n), min_size=1, max_size=min(n, 4))
+    edges = draw(st.lists(edge, max_size=8, unique=True))
+    weight = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    h = Hypergraph(n, edges)
+    return an.WeightedHypergraph(h, {e: draw(weight) for e in h.edges})
+
+
+@seed(14051133)
+@given(weighted_hypergraphs(), st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+def test_eval_d_is_the_largest_eval_p(wh, p):
+    xs = {()} | {x for e in wh.base.edges for t in range(1, len(e) + 1) for x in combinations(e, t)}
+    assert an.eval_D(wh, p) == max(an.eval_P(wh, p, x) for x in xs)
+
+
+def test_eval_d_checks_p():
+    with pytest.raises(ValueError, match="p must lie in"):
+        an.eval_D(PAIR_W, 0.0)
 
 
 class TestPotentials:

@@ -47,6 +47,14 @@ class TestGen:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("algo, p", [("bl", "2"), ("sbl", "1")])
+    def test_bad_config_is_exit_1_before_the_echo(self, instance, capsys, algo, p):
+        code, out, err = run_cli(
+            ["solve", str(instance), "--algo", algo, "--seed", "5", "--p", p], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: p_override must lie in (0, 1")
+
     def test_all_algos_verify(self, instance, tmp_path, capsys):
         for algo in ("greedy", "bl", "sbl"):
             code, out, err = run_cli(

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     naive_is_maximal,
     naive_neighborhood,
 )
+from hypermis import _edgeops as ops
 from hypermis._edgeops import deg_less
 from hypermis.core import (
     BadArityError,
@@ -123,8 +125,32 @@ class TestDegreeProfile:
         assert prof.delta == 1.0
 
     def test_no_edges_raises(self):
-        with pytest.raises(NoEdgesError):
-            degree_profile(Hypergraph(4, [(1,), (2,)]))
+        for h in (Hypergraph(4, [(1,), (2,)]), Hypergraph(4, [])):
+            with pytest.raises(NoEdgesError):
+                degree_profile(h)
+
+    def test_sizes_without_edges_read_zero(self):
+        h = Hypergraph(9, [(1, 2), (1, 3), (4, 5, 6, 7, 8), (4, 5, 6, 7, 9)])
+        prof = degree_profile(h)
+        assert prof.delta_i == {2: 2.0, 3: 0.0, 4: 0.0, 5: 2.0}
+        assert prof.delta_i == naive_degree_profile(h)
+        assert prof.delta == 2.0
+
+    def test_ties_go_to_the_largest_j_then_the_smallest_size(self):
+        # size 3: {1, 2} and {1, 5} lie in two edges, 1 in four, so
+        # 2^(1/1) == 4^(1/2); size 2: 10 lies in two edges, 2^(1/1)
+        triples = [(1, 2, 3), (1, 2, 4), (1, 5, 6), (1, 5, 7)]
+        h = Hypergraph(12, triples)
+        counts = ops.SubsetCounts(*h.arrays, h.n)
+        assert counts.pairs(np.bincount(h.arrays[1])) == {3: (4, 2)}
+        assert degree_profile(h).delta_i == {2: 0.0, 3: 2.0}
+        h = Hypergraph(12, [(10, 11), (10, 12), *triples])
+        counts = ops.SubsetCounts(*h.arrays, h.n)
+        sizes = np.bincount(h.arrays[1])
+        assert counts.pairs(sizes) == {2: (2, 1), 3: (4, 2)}
+        assert counts.best(sizes) == ops.max_norm_degree(*h.arrays, h.n) == (2, 1)
+        prof = degree_profile(h)
+        assert prof.delta_i == {2: 2.0, 3: 2.0} and prof.delta == 2.0
 
     def test_matches_full_enumeration(self):
         for h in instance_stream(25, n_lo=4, n_hi=12):

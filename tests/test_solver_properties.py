@@ -1,5 +1,6 @@
 """Property tests of the solvers against plain-set transcriptions and the
-naive maximality oracle, on random hypergraphs with n <= 12.
+naive maximality oracle, on random hypergraphs with n <= 12, and on
+instances with ids up to 2^20 checked after relabelling them to 1..k.
 
 Edges may repeat, nest and be singletons; the solvers normalize them.
 """
@@ -7,6 +8,7 @@ Edges may repeat, nest and be singletons; the solvers normalize them.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from conftest import naive_is_maximal
 from hypermis import _edgeops as ops
 from hypermis.bl import BlConfig, make_state, run_bl
 from hypermis.core import Hypergraph, is_maximal_independent, normalize
+from hypermis.generate import KIND_MIXED, KIND_UNIFORM, GenSpec, gen
 from hypermis.sbl import SblConfig, run_sbl, sbl_round
 
 
@@ -122,3 +125,54 @@ def test_is_maximal_on_vertices_matches_induced_oracle(h, data):
     )
     want = naive_is_maximal(induced, {rank[v] for v in s})
     assert is_maximal_independent(h, s, vertices) == want
+
+
+def relabelled(h, keep, s):
+    """h's edges and s's ids among the sorted ids `keep` (which hold every
+    edge), relabelled to 1..len(keep) in order, for the oracle's 1..k sweep."""
+    rank = {v: i + 1 for i, v in enumerate(keep)}
+    edges = [[rank[v] for v in e] for e in h.edges]
+    return Hypergraph(len(keep), edges), {rank[v] for v in s if v in rank}
+
+
+@st.composite
+def wide_instances(draw):
+    """Edges of sizes 2-8 over a pool of up to 12 ids below 2^20, and a
+    vertex set of the ids on edges plus up to 3 isolated ids."""
+    k = draw(st.integers(2, 12))
+    pool = draw(st.lists(st.integers(1, 2**20), min_size=k, max_size=k, unique=True))
+    sizes = draw(st.lists(st.integers(2, min(k, 8)), min_size=1, max_size=10))
+    h = Hypergraph(2**20, [draw(st.permutations(pool))[:size] for size in sizes])
+    on_edges = {v for e in h.edges for v in e}
+    isolated = draw(st.sets(st.integers(1, 2**20).filter(lambda v: v not in on_edges), max_size=3))
+    return h, sorted(on_edges | isolated), isolated
+
+
+@seed(1405_1133)
+@given(wide_instances(), st.integers(0, 10**6), st.sampled_from([None, 0.2, 0.5]), st.booleans())
+def test_run_bl_on_wide_ids(inst, solver_seed, p, fixed):
+    h, vertex_set, isolated = inst
+    cfg = BlConfig(seed=solver_seed, p_mode="fixed" if fixed else "recompute", p_override=p)
+    res = run_bl(h, cfg, vertex_set)
+    assert res.status == "ok"
+    assert set(res.mis) <= set(vertex_set) and isolated <= set(res.mis)
+    assert naive_is_maximal(*relabelled(h, vertex_set, res.mis))
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        (GenSpec(n=2**14, kind=KIND_UNIFORM, seed=3, m=300, dim=3), None),
+        (GenSpec(n=2**14, kind=KIND_UNIFORM, seed=4, m=120, dim=8), 0.3),
+        (GenSpec(n=2**14, kind=KIND_MIXED, seed=5, m=60, dim_range=(2, 8)), 0.3),
+        (GenSpec(n=9000, kind=KIND_UNIFORM, seed=6, m=400, dim=5), 0.2),
+    ],
+    ids=["uniform3-direct", "uniform8", "mixed2to8", "uniform5"],
+)
+def test_run_sbl_on_wide_ids(spec, p):
+    h = gen(spec)
+    res = run_sbl(h, SblConfig(seed=spec.seed, p_override=p, check_invariants=True))
+    assert res.status == "ok"
+    on_edges = sorted({v for e in h.edges for v in e})
+    assert set(h.vertices) - set(on_edges) <= set(res.mis)
+    assert naive_is_maximal(*relabelled(h, on_edges, res.mis))
