@@ -2,7 +2,7 @@
 
 Edges live in a padded (m, w) int64 matrix: row i holds the ids of edge i
 sorted ascending in its first sizes[i] columns, padded with 0 (ids are
-1-based, so 0 never collides); each Hypergraph caches its own, read-only.
+1-based, so 0 never collides); a Hypergraph is one such matrix, read-only.
 Kernels keep rows sorted and never write to their input, which they may
 return as is; the one stateful piece is :class:`SubsetCounts`, the
 subset-count tables behind every degree pair: the marking solver updates

@@ -59,20 +59,17 @@ class WeightedHypergraph:
     __slots__ = ("base", "weights")
 
     def __init__(self, base: Hypergraph, weights: Mapping[tuple[int, ...], float]):
-        if len(set(base.edges)) != base.m:
+        edges = base.edges
+        if len(set(edges)) != base.m:
             raise ValueError("weighted hypergraph requires distinct edges")
         canon = {vertex_tuple(e): float(w) for e, w in weights.items()}
-        for e in base.edges:
+        for e in edges:
             if e not in canon:
                 raise ValueError(f"edge {e} has no weight")
             if canon[e] <= 0:
                 raise ValueError(f"edge {e} has non-positive weight {canon[e]}")
         self.base = base
-        self.weights = {e: canon[e] for e in base.edges}
-
-    @property
-    def total_weight(self) -> float:
-        return sum(self.weights.values())
+        self.weights = {e: canon[e] for e in edges}
 
     def __repr__(self) -> str:
         return f"WeightedHypergraph({self.base!r})"
@@ -425,7 +422,8 @@ def estimate_unmark_given_marked(
     in_x = ops.member(mat, np.array(xt, dtype=np.int64)) & ops.valid_mask(mat, sizes)
     hits = in_x.sum(axis=1)
     if (hits == sizes).any():
-        raise ValueError(f"edge {h.edges[np.argmax(hits == sizes)]} is contained in x")
+        row = np.argmax(hits == sizes)
+        raise ValueError(f"edge {tuple(mat[row, : sizes[row]].tolist())} is contained in x")
     near = hits > 0
     ids, cols = _edge_columns(*ops.remove_vertices(mat[near], sizes[near], in_x[near]))
     hits = 0

@@ -16,7 +16,7 @@ delta is taken as 1.0 so the round is still well-defined (any such round
 only has singleton edges, which die in cleanup regardless of the coins).
 
 Edges live in the padded matrix of :mod:`hypermis._edgeops` (a
-:class:`State`).  :func:`make_state` restricts the input's cached matrix
+:class:`State`).  :func:`make_state` restricts the input's edge matrix
 to the vertex set and normalizes it once with the full kernels into a
 state of its own; from then on the state
 is updated in place and a round pays only for the edges it touches: the

@@ -2,9 +2,10 @@
 
 Vertices are dense 1-based integer ids.  An edge is a set of ids; a
 vertex set is anything iterable of ids and is canonicalized to a sorted
-tuple at the boundaries.  A subset of vertices is *independent* if it
-contains no edge entirely, and *maximal* if no further vertex can be
-added without swallowing an edge.
+tuple at the boundaries.  A :class:`Hypergraph` is one read-only padded
+id matrix of :mod:`hypermis._edgeops`, and every query runs on it.  A
+subset of vertices is *independent* if it contains no edge entirely, and
+*maximal* if no further vertex can be added without swallowing an edge.
 
 The normalized degree of a set x with respect to edges of size |x|+j is
 d_j(x) = |N_j(x)|^(1/j), where N_j(x) collects the ways x extends to an
@@ -45,19 +46,21 @@ def vertex_tuple(vs: Iterable[int]) -> tuple[int, ...]:
 
 
 class Hypergraph:
-    """Immutable hypergraph on vertices 1..n with an explicit edge list.
-
-    Edges are stored as sorted id tuples, the edge list itself sorted
-    lexicographically.  Duplicate edges are legal until :func:`normalize`
-    collapses them; empty edges are rejected outright.  The queries below
-    run on :attr:`arrays`, the same edges as a padded id matrix.
+    """Immutable hypergraph on vertices 1..n, stored as one read-only
+    padded id matrix, :attr:`arrays`: row i holds edge i as sorted
+    distinct ids, the rows in lexicographic edge order.  Duplicate edges
+    are legal until :func:`normalize` collapses them; empty edges are
+    rejected outright.  :attr:`edges`, the rows as id tuples, is built on
+    first read; the queries and equality read the matrix.
     """
 
-    __slots__ = ("n", "edges", "_arrays")
+    __slots__ = ("n", "arrays", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if n >= 1 << 63:
+            raise ValueError(f"vertex count must lie below 2^63 (ids are int64), got {n}")
         canon = []
         for e in edges:
             t = vertex_tuple(e)
@@ -66,42 +69,36 @@ class Hypergraph:
             if t[0] < 1 or t[-1] > n:
                 raise ValueError(f"edge {t} leaves the vertex range [1, {n}]")
             canon.append(t)
-        canon.sort()
-        self.n = n
-        self.edges = tuple(canon)
-        self._arrays = None
+        h = self._from_rows(n, *ops.edge_matrix(canon))
+        self.n, self.arrays, self._edges = n, h.arrays, None
 
     @classmethod
     def _from_rows(cls, n: int, mat: np.ndarray, sizes: np.ndarray) -> Hypergraph:
         """The hypergraph of the rows of a padded id matrix (the layout of
         :attr:`arrays`), each row sorted, its ids distinct and inside 1..n;
         none of this is checked.  The rows are sorted into edge order and
-        kept as :attr:`arrays`."""
+        kept, read-only, as :attr:`arrays`."""
         width = int(sizes.max(initial=1))
         if mat.shape[1] != width:
             mat = mat[:, :width]
         if len(sizes) > 1:
             order = np.argsort(ops.lex_keys(mat, n))
             mat, sizes = mat[order], sizes[order]
+        mat.flags.writeable = sizes.flags.writeable = False
         h = cls.__new__(cls)
-        h.n, h.edges, h._arrays = n, tuple(ops.matrix_to_edges(mat, sizes)), (mat, sizes)
-        for a in h._arrays:
-            a.flags.writeable = False
+        h.n, h.arrays, h._edges = n, (mat, sizes), None
         return h
 
     @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (mat, sizes) of :func:`hypermis._edgeops.edge_matrix`
-        (row i is edges[i]), built on first use."""
-        if self._arrays is None:
-            self._arrays = ops.edge_matrix(self.edges)
-            for a in self._arrays:
-                a.flags.writeable = False
-        return self._arrays
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of :attr:`arrays` as id tuples, built on first read."""
+        if self._edges is None:
+            self._edges = tuple(ops.matrix_to_edges(*self.arrays))
+        return self._edges
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.arrays[1])
 
     @property
     def dim(self) -> int:
@@ -112,15 +109,16 @@ class Hypergraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
+    # The matrix determines the sizes: ids are >= 1 and the padding is 0.
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Hypergraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.arrays[0], other.arrays[0])
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.arrays[0].tobytes()))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.m}, dim={self.dim})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from hypermis.core import Hypergraph
 from hypermis.generate import (
@@ -26,6 +27,21 @@ settings.register_profile("hypermis", max_examples=60, deadline=None, database=N
 settings.load_profile("hypermis")
 
 H0 = Hypergraph(5, [(1, 2, 3), (3, 4), (4, 5)])
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges) for the Hypergraph constructor: shuffled lists of edges
+    over 1..n with repeated edges and repeated ids inside an edge; n = 0
+    and empty lists give edge-free inputs."""
+    n = draw(st.sampled_from([0, 1, 5, 12, 2**62]))
+    if not n:
+        return n, []
+    ids = st.integers(1, n) | st.integers(max(1, n - 3), n)
+    edges = draw(st.lists(st.lists(ids, min_size=1, max_size=5), max_size=8))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return n, draw(st.permutations(edges))
 
 
 def naive_is_independent(h: Hypergraph, s) -> bool:

@@ -218,6 +218,19 @@ class TestExperiment:
             assert row.startswith("tail,")
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["solve", "analyze", "verify"])
+    def test_n_past_int64_names_the_header(self, tmp_path, capsys, command):
+        hg = tmp_path / "wide.hg"
+        hg.write_text("18446744073709551617 2\n18446744073709551616 18446744073709551617\n1 2\n")
+        mis = tmp_path / "mis.json"
+        mis.write_text(json.dumps({"mis": [1]}))
+        extra = {"solve": ["--algo", "bl", "--seed", "1"], "analyze": [], "verify": [str(mis)]}
+        code, out, err = run_cli([command, str(hg), *extra[command]], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1: vertex count must lie below 2^63")
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from conftest import (
     H0,
+    edge_inputs,
     instance_stream,
     naive_degree_profile,
     naive_induce,
@@ -27,7 +30,11 @@ from hypermis.core import (
     neighborhood,
     normalize,
     parse_hg,
+    vertex_tuple,
 )
+from hypermis.bl import BlConfig, run_bl
+from hypermis.generate import KIND_LINEAR, KIND_MIXED, KIND_UNIFORM, GenSpec, gen
+from hypermis.sbl import SblConfig, run_sbl
 
 
 def edges_of(h):
@@ -49,10 +56,45 @@ class TestConstruction:
         h = Hypergraph(3, [(1,), (2, 3)])
         assert h.dim == 2 and h.m == 2
 
-    def test_canonical_ordering(self):
-        a = Hypergraph(4, [(3, 4), (2, 1)])
-        b = Hypergraph(4, [(1, 2), (4, 3)])
-        assert a == b and hash(a) == hash(b)
+    @seed(1405_1133)
+    @given(edge_inputs(), st.data())
+    def test_canonical_ordering(self, given_input, data):
+        n, edges = given_input
+        h = Hypergraph(n, edges)
+        assert h.edges == tuple(sorted(vertex_tuple(e) for e in edges))
+        # the same edges reshuffled, perhaps one fewer or on one more vertex
+        others = data.draw(st.permutations(edges))
+        if others and data.draw(st.booleans()):
+            others = others[1:]
+        other = Hypergraph(n + data.draw(st.integers(0, 1)), others)
+        same = (h.n, h.edges) == (other.n, other.edges)
+        assert (h == other) == same
+        assert not same or hash(h) == hash(other)
+
+    def test_rejects_n_past_int64(self):
+        with pytest.raises(ValueError, match=r"below 2\^63"):
+            Hypergraph(1 << 63, [(1, 2)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            Hypergraph(-1, [])
+        top = (1 << 63) - 1
+        assert Hypergraph(top, [(top, 1)]).edges == ((1, top),)
+        text = "18446744073709551617 2\n18446744073709551616 18446744073709551617\n1 2\n"
+        with pytest.raises(ValueError, match=r"^line 1: vertex count must lie below 2\^63"):
+            parse_hg(text)
+
+    def test_set_up_and_queries_leave_edge_tuples_unbuilt(self):
+        specs = [
+            GenSpec(n=40, kind=KIND_UNIFORM, seed=3, m=60, dim=3),
+            GenSpec(n=30, kind=KIND_MIXED, seed=4, m=20, dim_range=(2, 4)),
+            GenSpec(n=30, kind=KIND_LINEAR, seed=5, m=10, dim=3),
+        ]
+        for spec in specs:
+            h = gen(spec)
+            built = [h, parse_hg(format_hg(h)), normalize(h), induce(h, range(1, 25))]
+            degree_profile(h)
+            run_bl(h, BlConfig(seed=1))
+            run_sbl(h, SblConfig(seed=2))
+            assert all(x._edges is None for x in built), spec
 
 
 class TestNormalize:

@@ -11,7 +11,7 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import setup_reference as ref
-from conftest import instance_stream
+from conftest import edge_inputs, instance_stream
 from hypermis import _edgeops as ops
 from hypermis import core, generate, rng
 from hypermis.core import Hypergraph, format_hg, parse_hg
@@ -179,15 +179,16 @@ def test_format_hg_of_repeated_and_nested_edges():
     assert format_hg(Hypergraph(0, [])) == "0 0\n"
 
 
-def test_from_rows_matches_public_constructor():
-    for h in instance_stream(30):
-        mat, sizes = ops.edge_matrix(h.edges[::-1])
-        built = Hypergraph._from_rows(h.n, mat, sizes)
-        assert built == h
-        for got, want in zip(built.arrays, h.arrays):
-            assert got.tolist() == want.tolist() and not got.flags.writeable
-    wide = Hypergraph(2**62, [(2**61, 2**62), (1, 2**62), (5,)])
-    assert Hypergraph._from_rows(wide.n, *ops.edge_matrix(wide.edges[::-1])) == wide
+@seed(14051133)
+@given(edge_inputs(), st.data())
+def test_from_rows_matches_public_constructor(given_input, data):
+    n, edges = given_input
+    h = Hypergraph(n, edges)
+    rows = data.draw(st.permutations(h.edges))  # any row order
+    built = Hypergraph._from_rows(n, *ops.edge_matrix(rows))
+    assert built == h and hash(built) == hash(h) and built.edges == h.edges
+    for got, want in zip(built.arrays, h.arrays):
+        assert got.tolist() == want.tolist() and not got.flags.writeable
 
 
 def _outcome(parse, text):
