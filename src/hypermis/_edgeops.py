@@ -5,16 +5,16 @@ sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 1-based, so 0 never collides); a Hypergraph is one such matrix, read-only.
 Kernels keep rows sorted and never write to their input, which they may
 return as is; the one stateful piece is :class:`SubsetCounts`, the
-subset-count tables behind every degree pair: the marking solver updates
-them row by row, and :func:`hypermis.core.degree_profile` and
-:func:`max_norm_degree` build them from scratch.
+subset-count tables behind every degree pair: the marking solver moves
+each changed row from its old column mask to its new one, and
+:func:`hypermis.core.degree_profile` and :func:`max_norm_degree` build
+them from scratch.
 
-Subsets are matched and counted by uint64 keys, one scheme at any edge
-width: ids are bit-packed while the key fits in 63 bits; before a column
-that would overflow it, the partial key is replaced by its dense rank (one
-np.unique pass, or a lookup in a fixed table of ranks when keys must stay
-comparable across calls).  Up to 63 // bit_length(n) ids are packed, never
-ranked.
+Subsets are matched by uint64 keys, one scheme at any edge width: ids
+are bit-packed while the key fits in 63 bits; before a column that would
+overflow it, the partial key is replaced by its dense rank among the rows
+keyed in the same call (one np.unique pass), so keys compare only within
+one call.  Up to 63 // bit_length(n) ids are packed, never ranked.
 """
 
 from __future__ import annotations
@@ -67,6 +67,15 @@ def remove_vertices(
     out = np.take_along_axis(mat, order, axis=1)
     out[~valid_mask(out, new_sizes)] = 0
     return out, new_sizes
+
+
+def clear_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """The bitmasks `masks`, whose bits lie below w, without the bits
+    where the (k, w) mask `drop` is True: drop[i, j] stands for the j-th
+    lowest set bit of masks[i]."""
+    unset = ((masks[:, None] >> np.arange(drop.shape[1])) & 1) == 0
+    at = np.argsort(unset, axis=1, kind="stable")  # set bits first, ascending
+    return masks & ~(drop * np.left_shift(1, at)).sum(axis=1)
 
 
 def distinct(x: np.ndarray, counts: bool = False):
@@ -142,26 +151,22 @@ def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
     return rows.T[_combos(rows.shape[1], t)].reshape(t, -1)
 
 
-def _row_keys(rows: np.ndarray, bits: int, ranks: list | None = None) -> np.ndarray:
+def _row_keys(rows: np.ndarray, bits: int) -> np.ndarray:
     """uint64 keys of the rows of a (k, t) id matrix, equal exactly when
     the rows are equal.
 
     Ids must lie below 2^bits, and k * 2^bits below 2^63.  Columns are
     packed left to right while the key fits in 63 bits; before a column
     c that would overflow it, the partial key (of the first c columns) is
-    replaced by its dense rank: among the k rows, so that keys are only
-    comparable within one call, or, given `ranks`, in the sorted key
-    table ranks[c], which must hold every such partial key.
+    replaced by its dense rank among the k rows, so keys are only
+    comparable within one call.
     """
     shift = np.uint64(bits)
     key = rows[:, 0].astype(np.uint64)
     used = bits
     for c in range(1, rows.shape[1]):
         if used + bits > 63:
-            if ranks is None:
-                uniq, key = np.unique(key, return_inverse=True)
-            else:
-                uniq, key = ranks[c], np.searchsorted(ranks[c], key)
+            uniq, key = np.unique(key, return_inverse=True)
             key = key.astype(np.uint64)
             used = max((len(uniq) - 1).bit_length(), 1)
         key = (key << shift) | rows[:, c].astype(np.uint64)
@@ -239,67 +244,113 @@ def degree_value(pair: tuple[int, int] | None) -> float:
 class SubsetCounts:
     """Subset counts of the rows, the one source of degree pairs: built
     from scratch for :func:`hypermis.core.degree_profile` and
-    :func:`max_norm_degree`, and kept up to date by the solvers as rows are
-    counted and uncounted, so a round reads its degree pair without a pass
+    :func:`max_norm_degree`, and kept up to date by the solvers as rows
+    shrink and leave, so a round reads its degree pair without a pass
     over the rows.
 
-    A t-subset is numbered by its index in keys[t], the sorted keys of
-    the t-subsets of the rows given at construction (:func:`_row_keys`
-    with keys[c] ranking the partial keys, so keys compare across calls).
-    Only subsets of those rows can be counted later, which holds while
-    rows only shrink.  The table of each (s, t) in `tables` holds one
-    count per t-subset, the number of counted size-s rows holding it;
-    the tables lie end to end in `count`, table i from starts[i] to
-    starts[i + 1].  hist[i, c] is the number of subsets of table i
-    counted c times, and top[i] the largest count.
+    Row i is counted over a column mask, the columns of its ids at
+    construction it still holds (all sizes[i] of them then; a row of size
+    0 counts nothing).  A t-subset is numbered by the rank of its key
+    among the t-subsets of all rows at construction, so only subsets of
+    those rows can be counted, which holds while rows only shrink.  The
+    subset of row i over the columns of submask u has number
+    sub[first[i] + u * step[i]]: the rows of each size s keep their
+    numbers in one block of `sub`, 2^s runs of one entry per row, of
+    which the runs of the proper non-empty u are used.  The table of each
+    (s, t) in `tables` holds one count per t-subset, the number of
+    counted rows of size s holding it; the tables lie end to end in
+    `count`, table i = (s, t) from starts[i] = base[s, t].  top[i] is
+    the largest count of table i, and hist[i, c] the number of its
+    subsets counted c times, built by the first update (a one-shot read
+    never needs it).
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
-        self.bits = max(n.bit_length(), 1)
+        bits = max(n.bit_length(), 1)
         present = np.flatnonzero(np.bincount(sizes)).tolist()
-        self.keys: list = [None]
-        found = []  # the subset numbers of every (s, t) with size-s rows
-        for t in range(1, max(present, default=1)):
+        width = max(present, default=1)
+        self.size = sizes
+        self.first = np.zeros(len(sizes), dtype=np.intp)
+        self.step = np.zeros(len(sizes), dtype=np.intp)
+        owners, end = {}, 0
+        for s in present:
+            owners[s] = i = np.flatnonzero(sizes == s)
+            self.first[i] = end + np.arange(len(i))
+            self.step[i] = len(i)
+            end += len(i) << s
+        self.sub = np.zeros(end, dtype=np.intp)
+        nkeys, blocks = [0], {}
+        for t in range(1, width):
             larger = [s for s in present if s > t]
-            subsets = [_subsets(mat[sizes == s, :s], t) for s in larger]
-            keys = _row_keys(np.concatenate(subsets, axis=1).T, self.bits, self.keys)
+            subsets = [_subsets(mat[owners[s], :s], t) for s in larger]
+            # keyed in one call, so that the ranks compare across sizes
+            keys = _row_keys(np.concatenate(subsets, axis=1).T, bits)
             keys, ids = np.unique(keys, return_inverse=True)
-            self.keys.append(keys)
+            nkeys.append(len(keys))
             cuts = np.cumsum([sub.shape[1] for sub in subsets])[:-1]
-            found += [((s, t), part) for s, part in zip(larger, np.split(ids, cuts))]
-        self.tables = [(s, t) for s in range(2, len(self.keys) + 1) for t in range(1, s)]
-        self.starts = np.cumsum([0, *(len(self.keys[t]) for _, t in self.tables)])
-        self.base = dict(zip(self.tables, self.starts.tolist()))
-        ids = [np.zeros(0, np.intp)] + [self.base[st] + part for st, part in found]
-        self.count = np.bincount(np.concatenate(ids), minlength=self.starts[-1])
-        # a count never exceeds the number of rows
-        self.hist = np.zeros((len(self.tables), len(sizes) + 1), dtype=np.int64)
-        self.top = np.zeros(len(self.tables), dtype=np.int64)
-        for i, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
-            self.hist[i] = np.bincount(self.count[lo:hi], minlength=len(sizes) + 1)
-            self.top[i] = self.count[lo:hi].max(initial=0)
+            for s, part in zip(larger, np.split(ids, cuts)):
+                # subset j of the k size-s rows is part[j * k : (j + 1) * k]
+                k, lo = len(owners[s]), self.first[owners[s][0]]
+                runs = self.sub[lo : lo + (k << s)].reshape(1 << s, k)
+                runs[np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k)
+                blocks[s, t] = np.bincount(part, minlength=len(keys))
+        self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
+        self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
+        self.base = np.zeros((width + 1, width), dtype=np.intp)
+        for (s, t), start in zip(self.tables, self.starts.tolist()):
+            self.base[s, t] = start
+        self.count = np.zeros(self.starts[-1], dtype=np.intp)
+        for (s, t), block in blocks.items():
+            lo = self.base[s, t]
+            self.count[lo : lo + len(block)] = block
+        self.top = (
+            np.maximum.reduceat(self.count, self.starts[:-1])
+            if self.tables
+            else np.zeros(0, dtype=np.intp)
+        )
+        self.hist: np.ndarray | None = None
+        self.cap = len(sizes) + 1  # a count never exceeds the number of rows
 
-    def add(self, mat: np.ndarray, sizes: np.ndarray, signs: np.ndarray) -> None:
-        """Count (signs[i] = 1) or uncount (-1) the subsets of row i."""
-        ids, steps = [], []
-        for s in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
-            at = sizes == s
-            rows, row_signs = mat[at, :s], signs[at]
-            for t in range(1, s):
-                keys = _row_keys(_subsets(rows, t).T, self.bits, self.keys)
-                ids.append(self.base[s, t] + np.searchsorted(self.keys[t], keys))
-                steps.append(np.tile(row_signs, len(keys) // len(rows)))
-        if not ids:
+    def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Move each of the distinct rows `rows` from column mask old[i]
+        to new[i] (0 for a row that leaves): uncount the subsets over the
+        old columns and count those over the new."""
+        if self.hist is None:
+            cells = np.repeat(np.arange(len(self.tables)) * self.cap, np.diff(self.starts))
+            cells += self.count
+            self.hist = np.bincount(cells, minlength=len(self.tables) * self.cap)
+            self.hist = self.hist.reshape(len(self.tables), self.cap)
+        masks = np.concatenate([old, new])
+        rows = np.concatenate([rows, rows])
+        span = np.left_shift(1, self.size[rows]) - 2
+        # u from 1 to 2^(size at construction) - 2 for each (row, mask):
+        # the proper non-empty submasks of the mask are its subsets
+        which = np.repeat(np.arange(len(masks)), span)
+        u = np.arange(1, len(which) + 1) - np.repeat(np.cumsum(span) - span, span)
+        mask = masks[which]
+        keep = ((u & ~mask) == 0) & (u != mask)
+        which, u = which[keep], u[keep]
+        row = rows[which]
+        found = (
+            self.base[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
+            + self.sub[self.first[row] + u * self.step[row]]
+        )
+        order = np.argsort(found)
+        found = found[order]
+        head = np.ones(len(found), dtype=bool)
+        np.not_equal(found[1:], found[:-1], out=head[1:])
+        heads = np.flatnonzero(head)  # the first entry of each subset
+        if not len(heads):
             return
-        found = np.concatenate(ids)
-        ids = distinct(found)
-        old = self.count[ids]
-        np.add.at(self.count, found, np.concatenate(steps))
-        new = self.count[ids]
+        steps = np.where(which[order] < len(old), -1, 1)
+        ids = found[heads]
+        old_count = self.count[ids]
+        new_count = old_count + np.add.reduceat(steps, heads)
+        self.count[ids] = new_count
         table = np.searchsorted(self.starts, ids, side="right") - 1
-        np.add.at(self.hist, (table, old), -1)
-        np.add.at(self.hist, (table, new), 1)
-        np.maximum.at(self.top, table, new)
+        np.add.at(self.hist, (table, old_count), -1)
+        np.add.at(self.hist, (table, new_count), 1)
+        np.maximum.at(self.top, table, new_count)
         emptied = self.hist[np.arange(len(self.top)), self.top] == 0
         for i in np.flatnonzero(emptied).tolist():
             self.top[i] = np.flatnonzero(self.hist[i, : self.top[i]])[-1]

@@ -122,9 +122,13 @@ class State:
     The rows holding id verts[k] (the vertices at construction) are
     inc[ptr[k]:ptr[k + 1]].  An id leaves a row only when it leaves
     `alive`, and a live row holds only alive ids, so for an alive id the
-    live ones among them are exactly the live rows holding it.  The
-    subset counts behind the degree pair are built on first use and then
-    updated with every row change.
+    live ones among them are exactly the live rows holding it.
+
+    cols[i] is the bitmask of the columns row i had at construction that
+    it still holds, 0 once it leaves.  The subset counts behind the
+    degree pair are built on first use, over the rows as they are then
+    (so cols starts again from full masks), and every row change moves
+    the row's counts from its old mask to its new one.
     """
 
     def __init__(self, n: int, alive: np.ndarray, mat: np.ndarray, sizes: np.ndarray):
@@ -142,6 +146,7 @@ class State:
         self.verts = alive
         self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
         self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
+        self.cols = np.left_shift(1, sizes) - 1
         self.counts: ops.SubsetCounts | None = None
         self._pair: tuple[int, int] | None = None
         self._pair_stale = True
@@ -162,7 +167,9 @@ class State:
     def degree_pair(self) -> tuple[int, int] | None:
         """:func:`hypermis._edgeops.max_norm_degree` of the live rows."""
         if self.counts is None:
-            self.counts = ops.SubsetCounts(self.mat, self.sizes, self.n)
+            sizes = np.where(self.live, self.size, 0)
+            self.counts = ops.SubsetCounts(self.rows, sizes, self.n)
+            self.cols = np.left_shift(1, sizes) - 1
         if self._pair_stale:
             self._pair = self.counts.best(self.nsize)
             self._pair_stale = False
@@ -185,40 +192,51 @@ class State:
     def full_rows(self, ids: np.ndarray) -> np.ndarray:
         """The live rows all of whose ids are among the distinct alive ids
         `ids`, ascending."""
-        rows, hits = ops.distinct(self.incidences(ids)[1], counts=True)
+        return self._full(self.incidences(ids)[1])
+
+    def _full(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of the incidences `rows` of distinct ids that hold
+        only those ids, ascending."""
+        rows, hits = ops.distinct(rows, counts=True)
         return rows[hits == self.size[rows]]
 
-    def _recount(self, mat: np.ndarray, sizes: np.ndarray, signs: np.ndarray) -> None:
-        """Add (signs[i] = 1) or remove (-1) row i in the size and subset counts."""
-        np.add.at(self.nsize, sizes, signs)
-        if self.counts is not None:
-            self.counts.add(mat, sizes, signs)
+    def _recount(self, rows: np.ndarray, old_size: np.ndarray, cols: np.ndarray) -> None:
+        """Move the distinct rows `rows`, of sizes `old_size` before the
+        change, to the column masks `cols` (0 for a row that leaves) in
+        the size and subset counts."""
+        np.subtract.at(self.nsize, old_size, 1)
+        new_size = np.bitwise_count(cols)
+        np.add.at(self.nsize, new_size[new_size > 0], 1)
+        if self.counts is not None and old_size.max() >= 2:  # singletons count nothing
+            self.counts.recount(rows, self.cols[rows], cols)
+        self.cols[rows] = cols
         self._pair_stale = True
 
     def drop(self, rows: np.ndarray) -> None:
         """Remove the distinct live rows `rows`."""
         if len(rows):
-            self._recount(self.rows[rows], self.size[rows], np.full(len(rows), -1))
+            self._recount(rows, self.size[rows], np.zeros(len(rows), dtype=np.int64))
             self.live[rows] = False
             self.m -= len(rows)
 
-    def cleanup(self, gone: np.ndarray):
-        """Delete the sorted alive ids `gone` from every live row and
+    def cleanup(self, gone: np.ndarray, touched: np.ndarray):
+        """Delete the sorted alive ids `gone` from every live row, given
+        `touched`, the live rows holding one of them, ascending; and
         restore the normal form: of rows that became equal the first
         stays, and a row strictly containing another leaves.
 
-        Only the rows holding a gone id change.  A changed row r can newly
-        lie inside any live row, but it can newly contain or equal only
+        Only the touched rows change.  A changed row r can newly lie
+        inside any live row, but it can newly contain or equal only
         another changed row q (an unchanged q inside r lay strictly inside
         r's old ids), and then q lies inside r; so it is enough to find,
         for each changed row, the live rows sharing one of its ids that
         hold it.  Returns the changed rows and those of them still live.
         """
-        touched = self.holders(gone) if len(gone) else gone
         if not len(touched):
             return touched, touched
         old, old_size = self.rows[touched], self.size[touched]
-        new, size = ops.remove_vertices(old, old_size, ops.member(old, gone))
+        cut = ops.member(old, gone)
+        new, size = ops.remove_vertices(old, old_size, cut)
         if not (size >= 1).all():
             raise InternalInvariantError("edge shrank to empty in a cleanup")
         self.rows[touched] = new
@@ -236,10 +254,11 @@ class State:
         self.live[doomed] = False
         self.m -= len(doomed)
         kept = self.live[touched]
+        cols = np.where(kept, ops.clear_bits(self.cols[touched], cut), 0)
         self._recount(
-            np.concatenate([old, self.rows[lost], new[kept]]),
-            np.concatenate([old_size, self.size[lost], size[kept]]),
-            np.repeat([-1, -1, 1], [len(old), len(lost), int(kept.sum())]),
+            np.concatenate([touched, lost]),
+            np.concatenate([old_size, self.size[lost]]),
+            np.concatenate([cols, np.zeros(len(lost), dtype=np.int64)]),
         )
         return touched, touched[kept]
 
@@ -285,11 +304,15 @@ def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
     (record, added)."""
     alive = state.alive
     marked = alive[stream.uniforms(alive) < p]
-    pool = state.rows[state.full_rows(marked)].ravel()
+    # one incidence gather: the fully marked rows, and then the rows
+    # holding a vertex that stays marked, which the cleanup shrinks
+    k, rows = state.incidences(marked)
+    pool = state.rows[state._full(rows)].ravel()
     unmarked = ops.distinct(pool[pool > 0])
-    added = ops.without(marked, unmarked)
+    stays = ~ops.member(marked, unmarked)
+    added = marked[stays]
 
-    _, kept = state.cleanup(added)
+    _, kept = state.cleanup(added, ops.distinct(rows[stays[k]]))
     single = kept[state.size[kept] == 1]
     if state.nsize[1] > len(single):  # singleton edges the state began with
         single = np.flatnonzero(state.live & (state.size == 1))

@@ -161,9 +161,21 @@ class Stream:
         """Sorted k-subset of {1..n}, uniform over all k-subsets."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
+        # the draws of randbelow(n), with the bound computed once and the
+        # words mixed in place (mix64 of the counter word xor the key)
+        span, key, counter = _span(max(n, 1)), self.key, self.counter
         chosen: set[int] = set()
         while len(chosen) < k:
-            chosen.add(1 + self.randbelow(n))
+            z = ((((counter & _MASK) * _PHI) & _MASK) ^ key) & _MASK
+            counter += 1
+            z ^= z >> 30
+            z = (z * _MUL1) & _MASK
+            z ^= z >> 27
+            z = (z * _MUL2) & _MASK
+            z ^= z >> 31
+            if z < span:
+                chosen.add(1 + z % n)
+        self.counter = counter
         return tuple(sorted(chosen))
 
     def sample_rows(self, n: int, k: int, count: int) -> np.ndarray:

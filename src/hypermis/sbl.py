@@ -278,7 +278,7 @@ def sbl_round(
     # an edge touching a red vertex can never become fully blue
     dropped = state.holders(red)
     state.drop(dropped)
-    shrunk, _ = state.cleanup(blue)
+    shrunk, _ = state.cleanup(blue, state.holders(blue))
     state.alive = ops.without(alive, sampled)
     rec.bl_summary = {
         "status": bl_res.status,

@@ -8,6 +8,7 @@ subset keys stop being pure bit-packing and partial keys get ranked.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -218,26 +219,70 @@ def naive_tops(rows, counts):
 @seed(1405_1133)
 @given(hypergraphs(), st.data())
 def test_subset_counts_follow_shrinking_rows(h, data):
-    # rows shrink and leave in random steps; the counts, updated with the
-    # changed rows only, must match a recount of the live rows each time
+    # rows shrink, shrink to one id and leave in random steps; each
+    # changed row moves from its old column mask to its new one, and the
+    # counts must match a recount of the live rows each time
     mat, sizes = ops.edge_matrix(h.edges)
     counts = ops.SubsetCounts(mat, sizes, h.n)
-    rows = [list(e) for e in h.edges]
+    built = [list(e) for e in h.edges]  # the columns the masks refer to
+    rows = [list(e) for e in built]
+    cols = [(1 << len(e)) - 1 for e in built]
     live = list(range(len(rows)))
     for _ in range(4):
         changed = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
-        old = [tuple(rows[i]) for i in changed]
+        old = [cols[i] for i in changed]
         for i in changed:
-            keep = data.draw(st.lists(st.sampled_from(rows[i]), unique=True))
-            rows[i] = sorted(keep)
+            how = data.draw(st.sampled_from(["shrink", "single", "drop"]))
+            if how == "shrink":
+                rows[i] = sorted(data.draw(st.lists(st.sampled_from(rows[i]), unique=True)))
+            elif how == "single":
+                rows[i] = [data.draw(st.sampled_from(rows[i]))]
+            else:
+                rows[i] = []
+            cols[i] = sum(1 << built[i].index(v) for v in rows[i])
         live = [i for i in live if rows[i]]
-        new = [tuple(rows[i]) for i in changed if rows[i]]
-        for part, sign in ((old, -1), (new, 1)):
-            if part:
-                pm, ps = ops.edge_matrix(part)
-                counts.add(pm, ps, np.full(len(part), sign))
+        if changed:
+            new = [cols[i] for i in changed]
+            counts.recount(*(np.array(a, dtype=np.int64) for a in (changed, old, new)))
         got = {table: int(counts.top[k]) for k, table in enumerate(counts.tables)}
         assert got == naive_tops([rows[i] for i in live], counts)
         lm, ls = ops.edge_matrix([rows[i] for i in live])
-        present = np.bincount(ls, minlength=len(counts.keys) + 1)
+        present = np.bincount(ls, minlength=h.dim + 1)
         assert counts.best(present) == ops.max_norm_degree(lm, ls, h.n)
+
+
+def test_subset_counts_memory_is_flat_per_row():
+    # each row keeps 2^size subset numbers, so a few wide rows among many
+    # narrow ones cost their own 2^12, not 2^12 for every row
+    gen = np.random.default_rng(1405)
+    narrow = np.sort(gen.choice(WIDE_N, size=(2000, 2), replace=False) + 1, axis=1)
+    wide = np.sort(gen.choice(WIDE_N, size=(4, 12), replace=False) + 1, axis=1)
+    mat = np.zeros((2004, 12), dtype=np.int64)
+    mat[:2000, :2], mat[2000:] = narrow, wide
+    sizes = np.array([2] * 2000 + [12] * 4, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        counts = ops.SubsetCounts(mat, sizes, WIDE_N)
+        rows = np.arange(2000, 2004)  # the wide rows shrink to their first 6 ids
+        counts.recount(rows, np.full(4, (1 << 12) - 1), np.full(4, (1 << 6) - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    sizes[2000:] = 6
+    mat[2000:, 6:] = 0
+    want = ops.max_norm_degree(mat, sizes, WIDE_N)
+    assert counts.best(np.bincount(sizes, minlength=13)) == want
+
+
+@seed(1405_1133)
+@given(st.lists(st.tuples(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1)), max_size=20))
+def test_clear_bits_drops_the_nth_set_bits(pairs):
+    masks = np.array([m for m, _ in pairs], dtype=np.int64)
+    picks = [[(d >> j) & 1 == 1 and j < bin(m).count("1") for j in range(8)] for m, d in pairs]
+    drop = np.array(picks, dtype=bool).reshape(len(pairs), 8)
+    want = []
+    for m, row in zip(masks.tolist(), picks):
+        ones = [b for b in range(8) if m >> b & 1]
+        want.append(m & ~sum(1 << ones[j] for j in range(8) if row[j]))
+    assert ops.clear_bits(masks, drop).tolist() == want

@@ -52,3 +52,19 @@ def test_stream_randbelow_and_sample():
     assert len(ids) == 4 and list(ids) == sorted(set(ids))
     assert all(1 <= v <= 10 for v in ids)
     assert s.sample_ids(5, 5) == (1, 2, 3, 4, 5)
+
+
+def test_sample_ids_replays_randbelow():
+    # sample_ids mixes its words in place; it must make exactly the draws
+    # of a randbelow loop and leave the counter where that loop does, also
+    # where the rejection bound turns words away (n = 3 * 2^61 rejects a
+    # quarter of them)
+    for n, k in [(0, 0), (1, 1), (7, 3), (13, 13), (1000, 200), (3 * 2**61, 40), (2**63 - 1, 5)]:
+        for words in [(1,), (11, rng.TAG_GEN), (2**64 - 1, 3)]:
+            s, ref = rng.Stream(*words), rng.Stream(*words)
+            for _ in range(3):
+                chosen: set[int] = set()
+                while len(chosen) < k:
+                    chosen.add(1 + ref.randbelow(n))
+                assert s.sample_ids(n, k) == tuple(sorted(chosen))
+                assert s.counter == ref.counter
