@@ -6,7 +6,8 @@ sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 Kernels keep rows sorted and never write to their input, which they may
 return as is; the one stateful piece is :class:`SubsetCounts`, the
 subset-count tables behind every degree pair: the marking solver moves
-each changed row from its old column mask to its new one, and
+each changed row from its old column mask (the columns of the row as
+built that it still holds) to its new one, and
 :func:`hypermis.core.degree_profile` and :func:`max_norm_degree` build
 them from scratch.
 
@@ -51,31 +52,25 @@ def valid_mask(mat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return cols[None, :] < sizes[:, None]
 
 
+def compact(mat: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of `mat` where the mask `keep` is True, moved to the
+    front of their rows in order and zero padded to the same width; and
+    the number of them in each row."""
+    sizes = keep.sum(axis=1)
+    out = np.zeros_like(mat)
+    out[valid_mask(out, sizes)] = mat[keep]
+    return out, sizes
+
+
 def remove_vertices(
     mat: np.ndarray, sizes: np.ndarray, drop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delete the entries where the (m, w) mask `drop` is True from each row.
 
-    Rows stay sorted (stable compaction) and keep their width.  Rows may
-    end up empty: callers decide whether that is legal.
+    Rows stay sorted and keep their width.  Rows may end up empty:
+    callers decide whether that is legal.
     """
-    if mat.shape[0] == 0:
-        return mat, sizes
-    keep = valid_mask(mat, sizes) & ~drop
-    new_sizes = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")
-    out = np.take_along_axis(mat, order, axis=1)
-    out[~valid_mask(out, new_sizes)] = 0
-    return out, new_sizes
-
-
-def clear_bits(masks: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """The bitmasks `masks`, whose bits lie below w, without the bits
-    where the (k, w) mask `drop` is True: drop[i, j] stands for the j-th
-    lowest set bit of masks[i]."""
-    unset = ((masks[:, None] >> np.arange(drop.shape[1])) & 1) == 0
-    at = np.argsort(unset, axis=1, kind="stable")  # set bits first, ascending
-    return masks & ~(drop * np.left_shift(1, at)).sum(axis=1)
+    return compact(mat, valid_mask(mat, sizes) & ~drop)
 
 
 def distinct(x: np.ndarray, counts: bool = False):
@@ -257,12 +252,10 @@ class SubsetCounts:
     sub[first[i] + u * step[i]]: the rows of each size s keep their
     numbers in one block of `sub`, 2^s runs of one entry per row, of
     which the runs of the proper non-empty u are used.  The table of each
-    (s, t) in `tables` holds one count per t-subset, the number of
-    counted rows of size s holding it; the tables lie end to end in
-    `count`, table i = (s, t) from starts[i] = base[s, t].  top[i] is
-    the largest count of table i, and hist[i, c] the number of its
-    subsets counted c times, built by the first update (a one-shot read
-    never needs it).
+    (s, t) in `tables`, number table_of[s, t], holds one count per
+    t-subset, the number of counted rows of size s holding it; the tables
+    lie end to end in `count`, table i from starts[i].  top[i] is the
+    largest count of table i and total[i] the sum of its counts.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
@@ -296,30 +289,20 @@ class SubsetCounts:
                 blocks[s, t] = np.bincount(part, minlength=len(keys))
         self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
         self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
-        self.base = np.zeros((width + 1, width), dtype=np.intp)
-        for (s, t), start in zip(self.tables, self.starts.tolist()):
-            self.base[s, t] = start
+        self.table_of = np.zeros((width + 1, width), dtype=np.intp)
         self.count = np.zeros(self.starts[-1], dtype=np.intp)
+        for i, (s, t) in enumerate(self.tables):
+            self.table_of[s, t] = i
         for (s, t), block in blocks.items():
-            lo = self.base[s, t]
+            lo = self.starts[self.table_of[s, t]]
             self.count[lo : lo + len(block)] = block
-        self.top = (
-            np.maximum.reduceat(self.count, self.starts[:-1])
-            if self.tables
-            else np.zeros(0, dtype=np.intp)
-        )
-        self.hist: np.ndarray | None = None
-        self.cap = len(sizes) + 1  # a count never exceeds the number of rows
+        self.top = np.maximum.reduceat(self.count, self.starts[:-1])
+        self.total = np.add.reduceat(self.count, self.starts[:-1])
 
     def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Move each of the distinct rows `rows` from column mask old[i]
         to new[i] (0 for a row that leaves): uncount the subsets over the
         old columns and count those over the new."""
-        if self.hist is None:
-            cells = np.repeat(np.arange(len(self.tables)) * self.cap, np.diff(self.starts))
-            cells += self.count
-            self.hist = np.bincount(cells, minlength=len(self.tables) * self.cap)
-            self.hist = self.hist.reshape(len(self.tables), self.cap)
         masks = np.concatenate([old, new])
         rows = np.concatenate([rows, rows])
         span = np.left_shift(1, self.size[rows]) - 2
@@ -331,29 +314,22 @@ class SubsetCounts:
         keep = ((u & ~mask) == 0) & (u != mask)
         which, u = which[keep], u[keep]
         row = rows[which]
-        found = (
-            self.base[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
-            + self.sub[self.first[row] + u * self.step[row]]
-        )
-        order = np.argsort(found)
-        found = found[order]
-        head = np.ones(len(found), dtype=bool)
-        np.not_equal(found[1:], found[:-1], out=head[1:])
-        heads = np.flatnonzero(head)  # the first entry of each subset
-        if not len(heads):
-            return
-        steps = np.where(which[order] < len(old), -1, 1)
-        ids = found[heads]
-        old_count = self.count[ids]
-        new_count = old_count + np.add.reduceat(steps, heads)
-        self.count[ids] = new_count
-        table = np.searchsorted(self.starts, ids, side="right") - 1
-        np.add.at(self.hist, (table, old_count), -1)
-        np.add.at(self.hist, (table, new_count), 1)
-        np.maximum.at(self.top, table, new_count)
-        emptied = self.hist[np.arange(len(self.top)), self.top] == 0
-        for i in np.flatnonzero(emptied).tolist():
-            self.top[i] = np.flatnonzero(self.hist[i, : self.top[i]])[-1]
+        table = self.table_of[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
+        found = self.starts[table] + self.sub[self.first[row] + u * self.step[row]]
+        steps = np.where(which < len(old), -1, 1)
+        before = self.count[found]
+        np.add.at(self.count, found, steps)
+        np.add.at(self.total, table, steps)
+        after = self.count[found]
+        # a table's top fell only if a subset that stood at it went down;
+        # a top of 1 stays while the table counts anything
+        fell = table[(after < before) & (before == self.top[table])]
+        np.maximum.at(self.top, table, after)
+        for i in set(fell.tolist()):
+            if self.top[i] == 1:
+                self.top[i] = self.total[i] > 0
+            else:
+                self.top[i] = self.count[self.starts[i] : self.starts[i + 1]].max()
 
     def pairs(self, nsize: np.ndarray) -> dict[int, tuple[int, int]]:
         """Best (count, j) pair of each edge size s >= 2 among the counted

@@ -15,19 +15,22 @@ that computes them once up front.  When no edge of size >= 2 exists,
 delta is taken as 1.0 so the round is still well-defined (any such round
 only has singleton edges, which die in cleanup regardless of the coins).
 
-Edges live in the padded matrix of :mod:`hypermis._edgeops` (a
-:class:`State`).  :func:`make_state` restricts the input's edge matrix
-to the vertex set and normalizes it once with the full kernels into a
-state of its own; from then on the state
-is updated in place and a round pays only for the edges it touches: the
-edges a vertex lies in are found through a vertex->edge incidence list,
-:meth:`State.cleanup` shrinks just the edges holding a committed vertex
-and dedupes and prunes them against the live edges sharing one of their
-vertices, and delta is read from subset-count tables updated with those
-edges (reused as is after a round that changed none).  The sampling
-solver runs its rounds on the same state and its inner marking runs on
-the induced part of it.  A run on a Hypergraph checks its result once,
-against the input, with :func:`hypermis.core.is_maximal_independent`.
+Edges live in the padded matrix of :mod:`hypermis._edgeops`, in a
+:class:`State`: :func:`make_state` restricts the input's edge matrix to
+the vertex set and normalizes it once with the full kernels, and the
+state keeps that matrix read-only, as built, with one column mask per
+row for the ids the row still holds.  From then on a round pays only
+for the rows it touches: the rows a vertex lies in are found through a
+vertex->edge incidence list, :meth:`State.cleanup` clears the bits of
+the committed vertices in just the rows holding one and dedupes and
+prunes those against the live rows sharing one of their vertices, and
+delta is read from subset-count tables moved with those rows' masks
+(reused as is after a round that changed none).  A round whose marks
+lie in no row, with no singleton edge left, changes only the vertex
+set.  The sampling solver runs its rounds on the same state and its
+inner marking runs on the induced rows, compacted.  A run on a
+Hypergraph checks its result once, against the input, with
+:func:`hypermis.core.is_maximal_independent`.
 
 Randomness is counter-based on (seed, round, vertex id): results are
 bit-identical no matter how marking is scheduled.
@@ -113,32 +116,37 @@ class KeyStream:
 class State:
     """Working hypergraph of both solvers, updated in place round by round.
 
-    Row i of `rows` holds edge i's ids sorted in its first size[i] columns
-    (zero padded, see :mod:`hypermis._edgeops`).  Rows only shrink, and a
-    row whose live[i] turns False is gone for good; `mat` and `sizes` give
-    the live rows, `m` counts them and nsize[s] counts those of size s.
-    `alive` lists the undecided vertices, sorted.
+    `rows` is the edge matrix the state was built on, read-only: row i
+    holds edge i's ids sorted in its first columns (zero padded, see
+    :mod:`hypermis._edgeops`), and rows never move.  cols[i] is the
+    bitmask of the columns row i still holds, 0 once the row is gone, and
+    size[i] its bit count; a row only loses bits, and a row of size 0 is
+    gone for good.  `mat` and `sizes` give the live rows compacted, `m`
+    counts them and nsize[s] counts those of size s.  `alive` lists the
+    undecided vertices, sorted.
 
     The rows holding id verts[k] (the vertices at construction) are
     inc[ptr[k]:ptr[k + 1]].  An id leaves a row only when it leaves
     `alive`, and a live row holds only alive ids, so for an alive id the
     live ones among them are exactly the live rows holding it.
 
-    cols[i] is the bitmask of the columns row i had at construction that
-    it still holds, 0 once it leaves.  The subset counts behind the
-    degree pair are built on first use, over the rows as they are then
-    (so cols starts again from full masks), and every row change moves
-    the row's counts from its old mask to its new one.
+    The subset counts behind the degree pair are built on first use, over
+    `rows` as built; a row that changed before then moves once from its
+    full mask to its mask then, and every later change moves the row's
+    counts from its old mask to its new one.
     """
 
     def __init__(self, n: int, alive: np.ndarray, mat: np.ndarray, sizes: np.ndarray):
         """State over normalized rows (no duplicates, none strictly inside
-        another) whose ids lie in `alive`; takes ownership of the arrays."""
+        another) whose ids lie in `alive`; takes ownership of `alive` and
+        makes `mat` read-only."""
+        mat.flags.writeable = False
         self.n = n
         self.alive = alive
         self.rows = mat
-        self.size = sizes
-        self.live = np.ones(len(sizes), dtype=bool)
+        self.cols = np.left_shift(1, sizes) - 1
+        self.size = sizes.copy()
+        self.bit = np.left_shift(1, np.arange(mat.shape[1]))
         self.m = len(sizes)
         self.nsize = np.bincount(sizes, minlength=mat.shape[1] + 1)
         ids = mat[ops.valid_mask(mat, sizes)]
@@ -146,30 +154,40 @@ class State:
         self.verts = alive
         self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
         self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
-        self.cols = np.left_shift(1, sizes) - 1
         self.counts: ops.SubsetCounts | None = None
         self._pair: tuple[int, int] | None = None
         self._pair_stale = True
 
     @property
     def mat(self) -> np.ndarray:
-        return self.rows[self.live]
+        return self.compact(np.flatnonzero(self.size))[0]
 
     @property
     def sizes(self) -> np.ndarray:
-        return self.size[self.live]
+        return self.size[self.size > 0]
 
     @property
     def dim(self) -> int:
         """Largest live row size, 0 without rows."""
         return int(np.flatnonzero(self.nsize)[-1]) if self.m else 0
 
+    def compact(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mat, sizes) of the rows `rows` as they are now, each row's ids
+        moved to its front."""
+        return ops.compact(self.rows[rows], self._held(self.cols[rows]))
+
+    def _held(self, cols: np.ndarray) -> np.ndarray:
+        """(k, w) mask of the columns set in the column masks `cols`."""
+        return (cols[:, None] & self.bit) != 0
+
     def degree_pair(self) -> tuple[int, int] | None:
         """:func:`hypermis._edgeops.max_norm_degree` of the live rows."""
         if self.counts is None:
-            sizes = np.where(self.live, self.size, 0)
-            self.counts = ops.SubsetCounts(self.rows, sizes, self.n)
-            self.cols = np.left_shift(1, sizes) - 1
+            built = np.count_nonzero(self.rows, axis=1)
+            self.counts = ops.SubsetCounts(self.rows, built, self.n)
+            full = np.left_shift(1, built) - 1
+            moved = np.flatnonzero(self.cols != full)
+            self.counts.recount(moved, full[moved], self.cols[moved])
         if self._pair_stale:
             self._pair = self.counts.best(self.nsize)
             self._pair_stale = False
@@ -182,42 +200,33 @@ class State:
         cnt = self.ptr[pos + 1] - lo
         k = np.repeat(np.arange(len(ids)), cnt)
         rows = self.inc[np.arange(len(k)) + (lo - np.cumsum(cnt) + cnt)[k]]
-        live = self.live[rows]
+        live = self.size[rows] > 0
         return k[live], rows[live]
 
-    def holders(self, ids: np.ndarray) -> np.ndarray:
-        """The live rows holding any of the alive ids `ids`, ascending."""
-        return ops.distinct(self.incidences(ids)[1])
-
-    def full_rows(self, ids: np.ndarray) -> np.ndarray:
-        """The live rows all of whose ids are among the distinct alive ids
-        `ids`, ascending."""
-        return self._full(self.incidences(ids)[1])
-
-    def _full(self, rows: np.ndarray) -> np.ndarray:
+    def full(self, rows: np.ndarray) -> np.ndarray:
         """The rows of the incidences `rows` of distinct ids that hold
         only those ids, ascending."""
         rows, hits = ops.distinct(rows, counts=True)
         return rows[hits == self.size[rows]]
 
-    def _recount(self, rows: np.ndarray, old_size: np.ndarray, cols: np.ndarray) -> None:
-        """Move the distinct rows `rows`, of sizes `old_size` before the
-        change, to the column masks `cols` (0 for a row that leaves) in
-        the size and subset counts."""
+    def _moved(self, rows: np.ndarray, old: np.ndarray, old_size: np.ndarray) -> None:
+        """Move the distinct rows `rows`, live with the column masks `old`
+        of old_size bits before the change, to their masks now in the
+        size and subset counts."""
+        size = self.size[rows]
         np.subtract.at(self.nsize, old_size, 1)
-        new_size = np.bitwise_count(cols)
-        np.add.at(self.nsize, new_size[new_size > 0], 1)
+        np.add.at(self.nsize, size[size > 0], 1)
+        self.m -= len(rows) - int(np.count_nonzero(size))
         if self.counts is not None and old_size.max() >= 2:  # singletons count nothing
-            self.counts.recount(rows, self.cols[rows], cols)
-        self.cols[rows] = cols
+            self.counts.recount(rows, old, self.cols[rows])
         self._pair_stale = True
 
     def drop(self, rows: np.ndarray) -> None:
         """Remove the distinct live rows `rows`."""
         if len(rows):
-            self._recount(rows, self.size[rows], np.zeros(len(rows), dtype=np.int64))
-            self.live[rows] = False
-            self.m -= len(rows)
+            old, old_size = self.cols[rows], self.size[rows]
+            self.cols[rows] = self.size[rows] = 0
+            self._moved(rows, old, old_size)
 
     def cleanup(self, gone: np.ndarray, touched: np.ndarray):
         """Delete the sorted alive ids `gone` from every live row, given
@@ -234,16 +243,15 @@ class State:
         """
         if not len(touched):
             return touched, touched
-        old, old_size = self.rows[touched], self.size[touched]
-        cut = ops.member(old, gone)
-        new, size = ops.remove_vertices(old, old_size, cut)
-        if not (size >= 1).all():
+        rows, old, old_size = self.rows[touched], self.cols[touched], self.size[touched]
+        cols = old & ~(ops.member(rows, gone) @ self.bit)
+        size = np.bitwise_count(cols)
+        if not size.all():
             raise InternalInvariantError("edge shrank to empty in a cleanup")
-        self.rows[touched] = new
-        self.size[touched] = size
+        self.cols[touched], self.size[touched] = cols, size
         # (r, q, |r & q|) for every changed row r and live row q sharing an
         # id; q leaves when it holds r, unless they are equal and q is first
-        k, q = self.incidences(new[ops.valid_mask(new, size)])
+        k, q = self.incidences(rows[self._held(cols)])
         r = np.repeat(touched, size)[k]
         other = q != r
         pair, shared = ops.distinct(r[other] * len(self.size) + q[other], counts=True)
@@ -251,16 +259,12 @@ class State:
         inside = shared == self.size[r]
         doomed = ops.distinct(q[inside & ((shared < self.size[q]) | (r < q))])
         lost = doomed[~ops.member(doomed, touched)]  # unchanged rows that leave
-        self.live[doomed] = False
-        self.m -= len(doomed)
-        kept = self.live[touched]
-        cols = np.where(kept, ops.clear_bits(self.cols[touched], cut), 0)
-        self._recount(
-            np.concatenate([touched, lost]),
-            np.concatenate([old_size, self.size[lost]]),
-            np.concatenate([cols, np.zeros(len(lost), dtype=np.int64)]),
-        )
-        return touched, touched[kept]
+        moved = np.concatenate([touched, lost])
+        old = np.concatenate([old, self.cols[lost]])
+        old_size = np.concatenate([old_size, self.size[lost]])
+        self.cols[doomed] = self.size[doomed] = 0
+        self._moved(moved, old, old_size)
+        return touched, touched[self.size[touched] > 0]
 
 
 def vertex_array(vertex_set: Iterable[int] | None, n: int) -> np.ndarray:
@@ -285,7 +289,7 @@ def make_state(h: Hypergraph, vertex_set: Iterable[int] | None = None) -> State:
         inside = ops.rows_inside(mat, sizes, alive)
         mat, sizes = mat[inside], sizes[inside]
     mat, sizes = ops.prune_supersets(*ops.dedupe_rows(mat, sizes), h.n)
-    return State(h.n, alive, mat.copy(), sizes.copy())
+    return State(h.n, alive, mat, sizes)
 
 
 def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
@@ -304,21 +308,25 @@ def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
     (record, added)."""
     alive = state.alive
     marked = alive[stream.uniforms(alive) < p]
-    # one incidence gather: the fully marked rows, and then the rows
-    # holding a vertex that stays marked, which the cleanup shrinks
+    # one incidence gather: the fully marked rows, whose ids are unmarked,
+    # and then the rows holding a vertex that stays marked, which the
+    # cleanup shrinks
     k, rows = state.incidences(marked)
-    pool = state.rows[state._full(rows)].ravel()
-    unmarked = ops.distinct(pool[pool > 0])
-    stays = ~ops.member(marked, unmarked)
-    added = marked[stays]
-
-    _, kept = state.cleanup(added, ops.distinct(rows[stays[k]]))
-    single = kept[state.size[kept] == 1]
-    if state.nsize[1] > len(single):  # singleton edges the state began with
-        single = np.flatnonzero(state.live & (state.size == 1))
-    victims = np.sort(state.rows[single, 0])  # distinct: singletons are never duplicates
-    state.drop(single)
-    state.alive = ops.without(alive, np.concatenate([added, victims]))
+    unmarked, added, gone = marked[:0], marked, marked
+    if len(rows) or state.nsize[1]:  # else no row changes
+        vetoed = np.zeros(len(marked), dtype=bool)
+        vetoed[k[ops.member(rows, state.full(rows))]] = True
+        unmarked, added = marked[vetoed], marked[~vetoed]
+        _, kept = state.cleanup(added, ops.distinct(rows[~vetoed[k]]))
+        single = kept[state.size[kept] == 1]
+        if state.nsize[1] > len(single):  # singleton edges the state began with
+            single = np.flatnonzero(state.size == 1)
+        # the column of a singleton's one id is the bit count below its bit;
+        # distinct: singletons are never duplicates
+        victims = np.sort(state.rows[single, np.bitwise_count(state.cols[single] - 1)])
+        state.drop(single)
+        gone = np.concatenate([added, victims])
+    state.alive = ops.without(alive, gone)
     rec = BlRoundRecord(
         round=rnd,
         marked=tuple(marked.tolist()),

@@ -15,14 +15,15 @@ straight to the marking solver.
 
 The working hypergraph is the marking solver's matrix state
 (:class:`hypermis.bl.State`), built once and updated in place across
-rounds: the induced edges and those touching a red vertex are found
-through its vertex->edge incidence, and the blue shrink is the same
+rounds: one gather of the sample's incidences gives the induced edges
+and, once the sample is colored, the edges touching a red vertex and
+those holding a blue one; the blue shrink is the same
 :meth:`~hypermis.bl.State.cleanup` a marking round runs, which touches
 only the edges holding a blue vertex.  The induced edges, normalized
-already, become the inner marking run's state as they are; the solve's
-result is checked for maximality once, at the end (each inner result
-too under check_invariants).  Only the residual becomes tuples, once,
-for the greedy pass.
+already, become the inner marking run's state as they are, compacted;
+the solve's result is checked for maximality once, at the end (each
+inner result too under check_invariants).  Only the residual becomes
+tuples, once, for the greedy pass.
 
 Default parameters follow the asymptotic recipe p = n^(-1/log2^(3) n)
 and d = log2^(2) n / (4 log2^(3) n); both are degenerate at desk scale
@@ -239,7 +240,8 @@ def sbl_round(
     sample = sampler or _default_sampler(cfg, p, round_index)
     for retry in range(cfg.max_retries_per_round + 1):
         sampled = alive[sample(retry, alive)]
-        induced = state.full_rows(sampled)
+        k, rows = state.incidences(sampled)
+        induced = state.full(rows)
         induced_dim = int(state.size[induced].max(initial=0))
         if induced_dim <= d:
             break
@@ -260,25 +262,27 @@ def sbl_round(
     if induced_dim > d:
         return None, None, state, tuple(alive.tolist()), rec
 
-    # the induced rows are normalized already: they become the inner state as they are
-    inner = State(state.n, sampled, state.rows[induced], state.size[induced])
+    # the induced rows are normalized already: compacted, they become the
+    # inner state as they are
+    mat, sizes = state.compact(induced)
     bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, round_index, retry))
-    bl_res = run_bl(inner, bl_cfg)
+    bl_res = run_bl(State(state.n, sampled, mat, sizes), bl_cfg)
     if bl_res.status != STATUS_OK:
         raise RoundLimitError(
             f"inner marking run exceeded its round budget in round {round_index}"
         )
     blue = np.array(bl_res.mis, dtype=np.int64)
-    if cfg.check_invariants and not ops.is_maximal_on(
-        state.rows[induced], state.size[induced], blue, sampled
-    ):
+    if cfg.check_invariants and not ops.is_maximal_on(mat, sizes, blue, sampled):
         raise InternalInvariantError("marking solver produced a non-maximal set")
-    red = ops.without(sampled, blue)
+    is_blue = ops.member(sampled, blue)
+    red = sampled[~is_blue]
 
-    # an edge touching a red vertex can never become fully blue
-    dropped = state.holders(red)
+    # an edge touching a red vertex can never become fully blue; the
+    # live edges holding a blue vertex shrink
+    dropped = ops.distinct(rows[~is_blue[k]])
     state.drop(dropped)
-    shrunk, _ = state.cleanup(blue, state.holders(blue))
+    touched = ops.distinct(rows[is_blue[k]])
+    shrunk, _ = state.cleanup(blue, touched[state.size[touched] > 0])
     state.alive = ops.without(alive, sampled)
     rec.bl_summary = {
         "status": bl_res.status,

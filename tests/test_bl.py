@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import full_recompute as full
 from conftest import H0, instance_stream
 from hypermis.baseline import enumerate_all_mis
 from hypermis.bl import (
@@ -11,10 +12,16 @@ from hypermis.bl import (
     STATUS_ROUND_LIMIT,
     BlConfig,
     KeyStream,
+    State,
+    _mark_round,
+    make_state,
     run_bl,
 )
 from hypermis.core import Hypergraph, is_independent, is_maximal_independent, normalize
-from hypermis import rng
+from hypermis.generate import KIND_UNIFORM, GenSpec, gen
+from hypermis.sbl import FALLBACK_GREEDY, SblConfig, run_sbl
+from hypermis import _edgeops as ops
+from hypermis import bl, rng, sbl
 from single_round import ForcedMarks, bl_round
 
 PAIR = Hypergraph(2, [(1, 2)])
@@ -81,6 +88,26 @@ class TestBlRound:
             assert set(added) == ref_added
             assert sorted(nxt.edges) == ref_edges
             assert nalive == ref_alive
+
+
+    @pytest.mark.parametrize("singleton", [True, False])
+    def test_marking_only_isolated_vertices(self, singleton):
+        # 5 and 6 lie in no edge: without a singleton edge nothing but
+        # `alive` changes; a singleton edge at round 0 still leaves with
+        # its vertex, as in the full-recompute round
+        edges = [(1,), (2, 3), (3, 4)] if singleton else [(2, 3), (3, 4)]
+        h = Hypergraph(6, edges)
+        state = make_state(h)
+        alive, mat, sizes = full.normalized(h)
+        delta = ops.degree_value(state.degree_pair())
+        stream = ForcedMarks([5, 6])
+        rec, added = _mark_round(state, 0.5, stream, delta, 0)
+        alive, mat, sizes, want, want_added = full.mark_round(
+            h.n, alive, mat, sizes, 0.5, stream, delta, 0)
+        assert rec.to_json_line() == want.to_json_line()
+        assert added.tolist() == want_added.tolist() == [5, 6]
+        assert state.alive.tolist() == alive.tolist() == ([2, 3, 4] if singleton else [1, 2, 3, 4])
+        assert state.m == len(sizes) == 2
 
 
 class TestRunBl:
@@ -207,3 +234,27 @@ class TestRunBl:
             BlConfig(seed=1, p_override=0.0)
         with pytest.raises(ValueError):
             BlConfig(seed=1, max_rounds=0)
+
+    def test_rows_stay_as_built(self, monkeypatch):
+        # every state of a whole run_bl and run_sbl (the outer state and
+        # each inner one) keeps its rows read-only and unwritten
+        built = []
+
+        class Recorded(State):
+            def __init__(self, n, alive, mat, sizes):
+                super().__init__(n, alive, mat, sizes)
+                built.append((self, mat.copy()))
+
+        monkeypatch.setattr(bl, "State", Recorded)
+        monkeypatch.setattr(sbl, "State", Recorded)
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=7, m=120, dim=3))
+        assert run_bl(h, BlConfig(seed=1)).status == STATUS_OK
+        cfg = SblConfig(seed=2, p_override=0.3, d_cap_override=2, stop_threshold_override=4)
+        res = run_sbl(h, cfg)
+        assert res.fallback == FALLBACK_GREEDY
+        assert sum(rec.edges_shrunk for rec in res.rounds) > 0
+        assert len(built) >= 3
+        for state, mat in built:
+            assert not state.rows.flags.writeable
+            assert state.rows.shape == mat.shape
+            assert state.rows.tobytes() == mat.tobytes()

@@ -273,16 +273,3 @@ def test_subset_counts_memory_is_flat_per_row():
     mat[2000:, 6:] = 0
     want = ops.max_norm_degree(mat, sizes, WIDE_N)
     assert counts.best(np.bincount(sizes, minlength=13)) == want
-
-
-@seed(1405_1133)
-@given(st.lists(st.tuples(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1)), max_size=20))
-def test_clear_bits_drops_the_nth_set_bits(pairs):
-    masks = np.array([m for m, _ in pairs], dtype=np.int64)
-    picks = [[(d >> j) & 1 == 1 and j < bin(m).count("1") for j in range(8)] for m, d in pairs]
-    drop = np.array(picks, dtype=bool).reshape(len(pairs), 8)
-    want = []
-    for m, row in zip(masks.tolist(), picks):
-        ones = [b for b in range(8) if m >> b & 1]
-        want.append(m & ~sum(1 << ones[j] for j in range(8) if row[j]))
-    assert ops.clear_bits(masks, drop).tolist() == want
