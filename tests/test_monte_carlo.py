@@ -5,7 +5,10 @@ The estimators draw coins only for the ids an event reads and test all
 edges of a chunk of trials in one array pass; the oracle draws every id
 in sight for all trials at once and loops over edges.  Coins depend only
 on (trial, id), so the two must agree exactly, also when the trials are
-cut into many chunks (the chunk budget is patched small here)."""
+cut into many chunks and a chunk's coins into many blocks (both budgets
+are patched small here).  The oracle draws every coin; the library may
+skip the coins of an event that cannot happen, such as a tail total
+above a threshold that no sum of the weights exceeds."""
 
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from hypermis.core import Hypergraph
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
 
 CELLS = st.sampled_from([1, 5, 64, an._CELLS])
+COIN_CELLS = st.sampled_from([1, 3, 64, an._COIN_CELLS])
 PS = st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0])
 TRIALS = st.integers(1, 300)
 SEEDS = st.integers(0, 2**32)
@@ -90,19 +94,19 @@ def weighted_and_threshold(draw):
 
 
 @seed(14051133)
-@given(instance_and_x(), PS, TRIALS, SEEDS, CELLS)
-def test_unmark_estimate_matches_reference(case, p, trials, mc_seed, cells):
+@given(instance_and_x(), PS, TRIALS, SEEDS, CELLS, COIN_CELLS)
+def test_unmark_estimate_matches_reference(case, p, trials, mc_seed, cells, coin_cells):
     h, x = case
-    with mock.patch.object(an, "_CELLS", cells):
+    with mock.patch.multiple(an, _CELLS=cells, _COIN_CELLS=coin_cells):
         got = outcome(an.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
     assert got == outcome(ref.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
 
 
 @seed(14051133)
-@given(instance_and_x(), st.sampled_from([1, 2]), PS, TRIALS, SEEDS, CELLS)
-def test_neighborhood_hit_matches_reference(case, j, p, trials, mc_seed, cells):
+@given(instance_and_x(), st.sampled_from([1, 2]), PS, TRIALS, SEEDS, CELLS, COIN_CELLS)
+def test_neighborhood_hit_matches_reference(case, j, p, trials, mc_seed, cells, coin_cells):
     h, x = case
-    with mock.patch.object(an, "_CELLS", cells):
+    with mock.patch.multiple(an, _CELLS=cells, _COIN_CELLS=coin_cells):
         got = outcome(an.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
     assert got == outcome(ref.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
 
@@ -116,12 +120,23 @@ def test_migration_weights_match_reference(case, j, gap):
 
 
 @seed(14051133)
-@given(weighted_and_threshold(), PS, TRIALS, SEEDS, CELLS)
-def test_tail_experiment_matches_reference(case, p, trials, mc_seed, cells):
+@given(weighted_and_threshold(), PS, TRIALS, SEEDS, CELLS, COIN_CELLS)
+def test_tail_experiment_matches_reference(case, p, trials, mc_seed, cells, coin_cells):
     wh, threshold = case
-    with mock.patch.object(an, "_CELLS", cells):
+    with mock.patch.multiple(an, _CELLS=cells, _COIN_CELLS=coin_cells):
         got = an.tail_experiment(wh, p, threshold, trials, mc_seed)
     assert got == ref.tail_experiment(wh, p, threshold, trials, mc_seed)
+
+
+def summed_weights(m):
+    """m singleton edges weighted 0.1, 0.2, 0.3, 0.7, 1/3, 0.1, ..., and
+    the total of the weights summed left to right."""
+    ws = [(0.1, 0.2, 0.3, 0.7, 1 / 3)[i % 5] for i in range(m)]
+    edges = [(v,) for v in range(1, m + 1)]
+    total = 0.0
+    for w in ws:
+        total += w
+    return an.WeightedHypergraph(Hypergraph(m, edges), dict(zip(edges, ws))), total
 
 
 @pytest.mark.parametrize("m", [3, 20])
@@ -129,16 +144,38 @@ def test_tail_total_is_summed_in_edge_order(m):
     # at p = 1 every trial marks every edge, so S is the left-to-right sum
     # of all weights exactly (0.1 + 0.2 + 0.3 is 0.6000000000000001, not
     # 0.6, in that order); a pairwise sum rounds some totals the other way
-    ws = [(0.1, 0.2, 0.3, 0.7, 1 / 3)[i % 5] for i in range(m)]
-    edges = [(v,) for v in range(1, m + 1)]
-    wh = an.WeightedHypergraph(Hypergraph(m, edges), dict(zip(edges, ws)))
-    total = 0.0
-    for w in ws:
-        total += w
+    wh, total = summed_weights(m)
     assert an.tail_experiment(wh, 1.0, total, 50, seed=1).exceed_count == 0
     assert an.tail_experiment(wh, 1.0, math.nextafter(total, 0.0), 50, seed=1).exceed_count == 50
     if m == 3:
         assert an.tail_experiment(wh, 1.0, 0.6, 50, seed=1).exceed_count == 50
+
+
+class CoinDrawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m", [3, 20])
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_tail_at_or_above_the_total_draws_no_coin(m, p):
+    # no trial's S exceeds the left-to-right total of all weights, so at a
+    # threshold of that total or more the result is known without coins;
+    # one step below it, coins are drawn
+    wh, total = summed_weights(m)
+    if m == 3:
+        assert total == 0.6000000000000001
+    want = ref.tail_experiment(wh, p, total, 50, 7)
+    with mock.patch.object(an.rng, "uniform_grid", side_effect=CoinDrawn):
+        assert an.tail_experiment(wh, p, total, 50, 7) == want
+        assert an.tail_experiment(wh, p, math.inf, 50, 7).exceed_count == 0
+        with pytest.raises(CoinDrawn):
+            an.tail_experiment(wh, p, math.nextafter(total, 0.0), 50, 7)
+        with pytest.raises(ValueError, match="trials"):
+            an.tail_experiment(wh, p, total, 0, 7)
+        with pytest.raises(ValueError, match="p must"):
+            an.tail_experiment(wh, 0.0, total, 50, 7)
+    below = math.nextafter(total, 0.0)
+    assert an.tail_experiment(wh, p, below, 50, 7) == ref.tail_experiment(wh, p, below, 50, 7)
 
 
 def traced_peak(fn, *args) -> int:
@@ -155,6 +192,7 @@ def test_tail_memory_is_bounded_per_chunk():
     # hundreds of MiB
     edges = [(v,) for v in range(1, 3001)]
     wh = an.WeightedHypergraph(Hypergraph(3000, edges), {e: 1.0 for e in edges})
+    assert 1500.0 < len(edges)  # below the total weight, so coins are drawn
     assert traced_peak(an.tail_experiment, wh, 0.5, 1500.0, 8192, 1) < 64 * 2**20
 
 
