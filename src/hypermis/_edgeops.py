@@ -4,12 +4,12 @@ Edges live in a padded (m, w) int64 matrix: row i holds the ids of edge i
 sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 1-based, so 0 never collides); a Hypergraph is one such matrix, read-only.
 Kernels keep rows sorted and never write to their input, which they may
-return as is; the one stateful piece is :class:`SubsetCounts`, the
-subset-count tables behind every degree pair: the marking solver moves
-each changed row from its old column mask (the columns of the row as
-built that it still holds) to its new one, and
-:func:`hypermis.core.degree_profile` and :func:`max_norm_degree` build
-them from scratch.
+return as is; the one stateful piece is :class:`SubsetCounts`, which
+numbers the rows' proper subsets: its count tables give every degree pair
+(the marking solver moves each changed row from its old column mask, the
+columns of the row as built it still holds, to its new one;
+:func:`hypermis.core.degree_profile` and :func:`max_norm_degree` count
+from scratch), and its holder lists the containment search.
 
 Subsets are matched by uint64 keys, one scheme at any edge width: ids
 are bit-packed while the key fits in 63 bits; before a column that would
@@ -20,7 +20,7 @@ one call.  Up to 63 // bit_length(n) ids are packed, never ranked.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -102,8 +102,12 @@ def without(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def drop_rows(mat, sizes, mask):
-    return mat[~mask], sizes[~mask]
+def csr_gather(ptr: np.ndarray, items: np.ndarray, lists: np.ndarray):
+    """(k, x) for each x of list lists[k], list j being items[ptr[j] : ptr[j + 1]]."""
+    lo = ptr[lists]
+    cnt = ptr[lists + 1] - lo
+    k = np.arange(len(lists)).repeat(cnt)
+    return k, items[np.arange(len(k)) + (lo - cnt.cumsum() + cnt)[k]]
 
 
 def rows_inside(mat: np.ndarray, sizes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -211,7 +215,7 @@ def prune_supersets(
         pos = np.searchsorted(small, keys[k:]).clip(max=k - 1)
         owners = [np.tile(idx[s], sub.shape[1] // len(idx[s])) for s, sub in zip(larger, subsets)]
         doomed[np.concatenate(owners)[small[pos] == keys[k:]]] = True
-    return drop_rows(mat, sizes, doomed)
+    return mat[~doomed], sizes[~doomed]
 
 
 def best_pair(pairs) -> tuple[int, int] | None:
@@ -245,17 +249,20 @@ class SubsetCounts:
 
     Row i is counted over a column mask, the columns of its ids at
     construction it still holds (all sizes[i] of them then; a row of size
-    0 counts nothing).  A t-subset is numbered by the rank of its key
-    among the t-subsets of all rows at construction, so only subsets of
-    those rows can be counted, which holds while rows only shrink.  The
-    subset of row i over the columns of submask u has number
-    sub[first[i] + u * step[i]]: the rows of each size s keep their
-    numbers in one block of `sub`, 2^s runs of one entry per row, of
-    which the runs of the proper non-empty u are used.  The table of each
-    (s, t) in `tables`, number table_of[s, t], holds one count per
+    0 counts nothing).  A t-subset is numbered below[t] plus the rank of
+    its key among the t-subsets of all rows at construction, so only
+    subsets of those rows can be counted, which holds while rows only
+    shrink.  The subset of row i over the columns of submask u has number
+    sub[first[i] + u * step[i]]: the rows of each size s (owners[s]) keep
+    their numbers in one block of `sub`, 2^s runs of one entry per row,
+    of which the runs of the proper non-empty u are used.  The table of
+    each (s, t) in `tables`, number table_of[s, t], holds one count per
     t-subset, the number of counted rows of size s holding it; the tables
-    lie end to end in `count`, table i from starts[i].  top[i] is the
-    largest count of table i and total[i] the sum of its counts.
+    lie end to end, table i from starts[i], a size-s row's subset g at
+    base[s] + g.  top[i] is the largest count of table i and total[i] the
+    sum of its counts.  The tables, and the holder lists of
+    :meth:`holders`, are built on first read: a one-shot count lists no
+    holders, and a solver state that only shrinks rows counts nothing.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
@@ -265,44 +272,68 @@ class SubsetCounts:
         self.size = sizes
         self.first = np.zeros(len(sizes), dtype=np.intp)
         self.step = np.zeros(len(sizes), dtype=np.intp)
-        owners, end = {}, 0
+        self.owners, end = {}, 0
         for s in present:
-            owners[s] = i = np.flatnonzero(sizes == s)
+            self.owners[s] = i = np.flatnonzero(sizes == s)
             self.first[i] = end + np.arange(len(i))
             self.step[i] = len(i)
             end += len(i) << s
         self.sub = np.zeros(end, dtype=np.intp)
-        nkeys, blocks = [0], {}
+        self.below, self._sorted = [0, 0], []
         for t in range(1, width):
-            larger = [s for s in present if s > t]
-            subsets = [_subsets(mat[owners[s], :s], t) for s in larger]
+            larger = [(s, self.owners[s]) for s in present if s > t]
+            subsets = [_subsets(mat[i, :s], t) for s, i in larger]
             # keyed in one call, so that the ranks compare across sizes
             keys = _row_keys(np.concatenate(subsets, axis=1).T, bits)
-            keys, ids = np.unique(keys, return_inverse=True)
-            nkeys.append(len(keys))
-            cuts = np.cumsum([sub.shape[1] for sub in subsets])[:-1]
-            for s, part in zip(larger, np.split(ids, cuts)):
-                # subset j of the k size-s rows is part[j * k : (j + 1) * k]
-                k, lo = len(owners[s]), self.first[owners[s][0]]
-                runs = self.sub[lo : lo + (k << s)].reshape(1 << s, k)
-                runs[np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k)
-                blocks[s, t] = np.bincount(part, minlength=len(keys))
+            # key j * k + i of the k rows of size s is the subset of row i
+            # over submask u_j, whose number goes to sub[first[i] + u_j * k]
+            uk = [np.left_shift(1, _combos(s, t)).sum(axis=0)[:, None] * len(i) for s, i in larger]
+            pos = np.concatenate([(self.first[i] + u).ravel() for (_, i), u in zip(larger, uk)])
+            order = keys.argsort()
+            keys, pos = keys[order], pos[order]  # the subsets by number, kept
+            self.sub[pos] = np.cumsum(np.append(True, keys[1:] != keys[:-1])) + (self.below[t] - 1)
+            self.below.append(int(self.sub[pos[-1]]) + 1)
+            self._sorted.append(pos)
         self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
-        self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
+        self.starts = np.cumsum([0, *(self.below[t + 1] - self.below[t] for _, t in self.tables)])
         self.table_of = np.zeros((width + 1, width), dtype=np.intp)
-        self.count = np.zeros(self.starts[-1], dtype=np.intp)
+        self.base = np.zeros(width + 1, dtype=np.intp)
         for i, (s, t) in enumerate(self.tables):
             self.table_of[s, t] = i
-        for (s, t), block in blocks.items():
-            lo = self.starts[self.table_of[s, t]]
-            self.count[lo : lo + len(block)] = block
-        self.top = np.maximum.reduceat(self.count, self.starts[:-1])
-        self.total = np.add.reduceat(self.count, self.starts[:-1])
+            self.base[s] = self.starts[i] - self.below[t]
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(count, top, total) over the rows at construction."""
+        count = np.zeros(self.starts[-1], dtype=np.intp)
+        for s, i in self.owners.items():
+            lo, k = self.first[i[0]], len(i)  # runs 1 to 2^s - 2 of the block
+            block = np.bincount(self.sub[lo + k : lo + (k << s) - k], minlength=self.below[s])
+            count[self.base[s] : self.base[s] + len(block)] = block
+        cuts = self.starts[:-1]
+        return count, np.maximum.reduceat(count, cuts), np.add.reduceat(count, cuts)
+
+    top = property(lambda self: self._tables[1], doc="The largest count of each table.")
+
+    @cached_property
+    def _holder_lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, rows): the rows at construction holding subset g, as a
+        proper subset, are rows[ptr[g] : ptr[g + 1]]."""
+        where = np.concatenate(self._sorted)
+        row = np.concatenate([np.tile(i, 1 << s) for s, i in self.owners.items()])
+        return np.searchsorted(self.sub[where], np.arange(self.below[-1] + 1)), row[where]
+
+    def holders(self, rows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, q) for every row q at construction holding the subset of
+        row rows[k] over its proper non-empty column submask masks[k] (a
+        row equal to it is not listed; normalized rows hold none)."""
+        return csr_gather(*self._holder_lists, self.sub[self.first[rows] + masks * self.step[rows]])
 
     def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Move each of the distinct rows `rows` from column mask old[i]
         to new[i] (0 for a row that leaves): uncount the subsets over the
         old columns and count those over the new."""
+        count, top, total = self._tables
         masks = np.concatenate([old, new])
         rows = np.concatenate([rows, rows])
         span = np.left_shift(1, self.size[rows]) - 2
@@ -314,22 +345,23 @@ class SubsetCounts:
         keep = ((u & ~mask) == 0) & (u != mask)
         which, u = which[keep], u[keep]
         row = rows[which]
-        table = self.table_of[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
-        found = self.starts[table] + self.sub[self.first[row] + u * self.step[row]]
+        size = np.bitwise_count(mask[keep])
+        table = self.table_of[size, np.bitwise_count(u)]
+        found = self.base[size] + self.sub[self.first[row] + u * self.step[row]]
         steps = np.where(which < len(old), -1, 1)
-        before = self.count[found]
-        np.add.at(self.count, found, steps)
-        np.add.at(self.total, table, steps)
-        after = self.count[found]
+        before = count[found]
+        np.add.at(count, found, steps)
+        np.add.at(total, table, steps)
+        after = count[found]
         # a table's top fell only if a subset that stood at it went down;
         # a top of 1 stays while the table counts anything
-        fell = table[(after < before) & (before == self.top[table])]
-        np.maximum.at(self.top, table, after)
+        fell = table[(after < before) & (before == top[table])]
+        np.maximum.at(top, table, after)
         for i in set(fell.tolist()):
-            if self.top[i] == 1:
-                self.top[i] = self.total[i] > 0
+            if top[i] == 1:
+                top[i] = total[i] > 0
             else:
-                self.top[i] = self.count[self.starts[i] : self.starts[i + 1]].max()
+                top[i] = count[self.starts[i] : self.starts[i + 1]].max()
 
     def pairs(self, nsize: np.ndarray) -> dict[int, tuple[int, int]]:
         """Best (count, j) pair of each edge size s >= 2 among the counted

@@ -66,8 +66,8 @@ class WeightedHypergraph:
         for e in edges:
             if e not in canon:
                 raise ValueError(f"edge {e} has no weight")
-            if canon[e] <= 0:
-                raise ValueError(f"edge {e} has non-positive weight {canon[e]}")
+            if not canon[e] > 0:  # NaN too
+                raise ValueError(f"edge {e} has weight {canon[e]}, not positive")
         self.base = base
         self.weights = {e: canon[e] for e in edges}
 
@@ -423,6 +423,8 @@ def tail_experiment(
         raise ValueError("trials must be >= 1")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     total = 0.0
     for weight in wh.weights.values():  # in edge order
         total += weight

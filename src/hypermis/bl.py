@@ -22,12 +22,12 @@ state keeps that matrix read-only, as built, with one column mask per
 row for the ids the row still holds.  From then on a round pays only
 for the rows it touches: the rows a vertex lies in are found through a
 vertex->edge incidence list, :meth:`State.cleanup` clears the bits of
-the committed vertices in just the rows holding one and dedupes and
-prunes those against the live rows sharing one of their vertices, and
-delta is read from subset-count tables moved with those rows' masks
-(reused as is after a round that changed none).  A round whose marks
-lie in no row, with no singleton edge left, changes only the vertex
-set.  The sampling solver runs its rounds on the same state and its
+the committed vertices in just the rows holding one and drops the live
+rows holding a changed row, listed as the rows that held its ids as
+built, and delta is read from subset-count tables moved with those rows'
+masks (reused as is after a round that changed none).  A round whose
+marks lie in no row, with no singleton edge left, changes only the
+vertex set.  The sampling solver runs its rounds on the same state and its
 inner marking runs on the induced rows, compacted.  A run on a
 Hypergraph checks its result once, against the input, with
 :func:`hypermis.core.is_maximal_independent`.
@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -127,11 +128,13 @@ class State:
 
     The rows holding id verts[k] (the vertices at construction) are
     inc[ptr[k]:ptr[k + 1]].  An id leaves a row only when it leaves
-    `alive`, and a live row holds only alive ids, so for an alive id the
-    live ones among them are exactly the live rows holding it.
+    `alive`, and a live row holds only alive ids, so for alive ids the
+    live rows among those holding all of them as built are exactly the
+    live rows holding them now.
 
-    The subset counts behind the degree pair are built on first use, over
-    `rows` as built; a row that changed before then moves once from its
+    `counts` numbers the subsets of `rows` as built, on first use: its
+    holder lists serve the cleanup, its count tables the degree pair.  A
+    row that changed before the first degree read moves once from its
     full mask to its mask then, and every later change moves the row's
     counts from its old mask to its new one.
     """
@@ -154,7 +157,7 @@ class State:
         self.verts = alive
         self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
         self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
-        self.counts: ops.SubsetCounts | None = None
+        self._counted = False  # whether the subset counts follow the masks
         self._pair: tuple[int, int] | None = None
         self._pair_stale = True
 
@@ -174,20 +177,20 @@ class State:
     def compact(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mat, sizes) of the rows `rows` as they are now, each row's ids
         moved to its front."""
-        return ops.compact(self.rows[rows], self._held(self.cols[rows]))
+        return ops.compact(self.rows[rows], (self.cols[rows, None] & self.bit) != 0)
 
-    def _held(self, cols: np.ndarray) -> np.ndarray:
-        """(k, w) mask of the columns set in the column masks `cols`."""
-        return (cols[:, None] & self.bit) != 0
+    @cached_property
+    def counts(self) -> ops.SubsetCounts:
+        """The subset numbering of `rows` as built, made on first use."""
+        return ops.SubsetCounts(self.rows, np.count_nonzero(self.rows, axis=1), self.n)
 
     def degree_pair(self) -> tuple[int, int] | None:
         """:func:`hypermis._edgeops.max_norm_degree` of the live rows."""
-        if self.counts is None:
-            built = np.count_nonzero(self.rows, axis=1)
-            self.counts = ops.SubsetCounts(self.rows, built, self.n)
-            full = np.left_shift(1, built) - 1
+        if not self._counted:
+            full = np.left_shift(1, self.counts.size) - 1
             moved = np.flatnonzero(self.cols != full)
             self.counts.recount(moved, full[moved], self.cols[moved])
+            self._counted = True
         if self._pair_stale:
             self._pair = self.counts.best(self.nsize)
             self._pair_stale = False
@@ -195,11 +198,7 @@ class State:
 
     def incidences(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, row) for every live row holding ids[k]; ids must be alive."""
-        pos = np.searchsorted(self.verts, ids)
-        lo = self.ptr[pos]
-        cnt = self.ptr[pos + 1] - lo
-        k = np.repeat(np.arange(len(ids)), cnt)
-        rows = self.inc[np.arange(len(k)) + (lo - np.cumsum(cnt) + cnt)[k]]
+        k, rows = ops.csr_gather(self.ptr, self.inc, self.verts.searchsorted(ids))
         live = self.size[rows] > 0
         return k[live], rows[live]
 
@@ -217,7 +216,7 @@ class State:
         np.subtract.at(self.nsize, old_size, 1)
         np.add.at(self.nsize, size[size > 0], 1)
         self.m -= len(rows) - int(np.count_nonzero(size))
-        if self.counts is not None and old_size.max() >= 2:  # singletons count nothing
+        if self._counted and old_size.max() >= 2:  # singletons count nothing
             self.counts.recount(rows, old, self.cols[rows])
         self._pair_stale = True
 
@@ -238,26 +237,23 @@ class State:
         inside any live row, but it can newly contain or equal only
         another changed row q (an unchanged q inside r lay strictly inside
         r's old ids), and then q lies inside r; so it is enough to find,
-        for each changed row, the live rows sharing one of its ids that
-        hold it.  Returns the changed rows and those of them still live.
+        for each changed row, the live rows that hold it, among the rows
+        holding its ids as built.  Returns the changed rows and those of
+        them still live.
         """
         if not len(touched):
             return touched, touched
         rows, old, old_size = self.rows[touched], self.cols[touched], self.size[touched]
         cols = old & ~(ops.member(rows, gone) @ self.bit)
         size = np.bitwise_count(cols)
-        if not size.all():
-            raise InternalInvariantError("edge shrank to empty in a cleanup")
+        if not (size.all() and (size < old_size).all()):
+            raise InternalInvariantError("edge shrank to empty or lost no id in a cleanup")
         self.cols[touched], self.size[touched] = cols, size
-        # (r, q, |r & q|) for every changed row r and live row q sharing an
-        # id; q leaves when it holds r, unless they are equal and q is first
-        k, q = self.incidences(rows[self._held(cols)])
-        r = np.repeat(touched, size)[k]
-        other = q != r
-        pair, shared = ops.distinct(r[other] * len(self.size) + q[other], counts=True)
-        r, q = np.divmod(pair, len(self.size))
-        inside = shared == self.size[r]
-        doomed = ops.distinct(q[inside & ((shared < self.size[q]) | (r < q))])
+        # a holder q of changed row r leaves when it holds r strictly or
+        # equals r and comes after it (so not r, nor a row gone: size 0)
+        k, q = self.counts.holders(touched, cols)
+        held, t = self.size[q], size[k]
+        doomed = ops.distinct(q[(held > t) | ((held == t) & (q > touched[k]))])
         lost = doomed[~ops.member(doomed, touched)]  # unchanged rows that leave
         moved = np.concatenate([touched, lost])
         old = np.concatenate([old, self.cols[lost]])

@@ -27,6 +27,10 @@ from hypermis.bl import (
 from hypermis.sbl import SblRoundRecord
 
 
+def drop_rows(mat, sizes, mask):
+    return mat[~mask], sizes[~mask]
+
+
 def normalized(h, vertex_set=None):
     """(alive, mat, sizes) of `h` restricted to `vertex_set`, normalized."""
     state = make_state(h, vertex_set)
@@ -67,7 +71,7 @@ def mark_round(n, alive, mat, sizes, p, stream, delta, rnd):
     mat, sizes, _ = shrink(n, mat, sizes, flags)
     single = sizes == 1
     victims = np.unique(mat[single, 0])
-    mat, sizes = ops.drop_rows(mat, sizes, single)
+    mat, sizes = drop_rows(mat, sizes, single)
     flags[victims] = True
     alive = alive[~flags[alive]]
     rec = BlRoundRecord(
@@ -131,7 +135,7 @@ def sbl_round(n, alive, mat, sizes, p, d, cfg, round_index, sample):
     blue[list(res.mis)] = True
     red = in_sample & ~blue
     dropped = (red[mat] & valid).any(axis=1)
-    mat, trimmed, shrunk = shrink(n, *ops.drop_rows(mat, sizes, dropped), blue)
+    mat, trimmed, shrunk = shrink(n, *drop_rows(mat, sizes, dropped), blue)
     alive = alive[~in_sample[alive]]
     rec.bl_summary = {
         "status": res.status, "rounds_used": len(res.rounds), "mis_size": len(res.mis)

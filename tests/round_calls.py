@@ -1,5 +1,6 @@
-"""Print the fixed cost of a marking round: rounds, ms per round, and
-Python-level calls per round.
+"""Print the fixed cost of a marking round: rounds, ms per round,
+Python-level calls per round, and the profiled ms per round of its
+layers.
 
     python3 tests/round_calls.py --n 4096 --m 8192 --dim 3 --gen-seed 7100 --seeds 1-12
     python3 tests/round_calls.py --n 4096 --m 256 --dim 6 --p 0.05 --seeds 1-32
@@ -10,8 +11,17 @@ on it once per solver seed with the ``BlConfig`` flags.  The seeds run
 untimed once (warm-up), then timed (``perf_counter``), then under
 cProfile; ms per round is the timed total over all rounds, and calls per
 round is the profile's total ``ncalls`` (primitive and recursive) over
-all rounds.  Imports hypermis from the ``src/`` beside this directory,
-so a copy of the script in another checkout measures that checkout.
+all rounds.  Two lines split the round by layer, from the same profile:
+``self_ms_per_round`` is the own time (``tottime``) and
+``cum_ms_per_round`` the time with callees (``cumtime``) of
+``State.cleanup``, ``State.incidences``, ``SubsetCounts.holders``,
+``SubsetCounts.recount`` and ``rng.uniforms`` (the benchmark's tracer
+wraps module functions only, so it cannot time these).  Own time holds
+the function's bytecode and the numpy operators and ufuncs it applies,
+not the functions and methods it calls; both include profiler overhead,
+so they compare only with another profiled run.  Imports hypermis from
+the ``src/`` beside this directory, so a copy of the script in another
+checkout measures that checkout.
 Not collected by pytest (the name does not start with ``test_``).
 """
 
@@ -27,6 +37,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hypermis import bl, generate  # noqa: E402
+
+
+# (file, function) of each layer timed on its own
+LAYERS = {
+    ("bl.py", "cleanup"): "State.cleanup",
+    ("bl.py", "incidences"): "State.incidences",
+    ("_edgeops.py", "holders"): "SubsetCounts.holders",
+    ("_edgeops.py", "recount"): "SubsetCounts.recount",
+    ("rng.py", "uniforms"): "rng.uniforms",
+}
 
 
 def _range(text: str) -> list[int]:
@@ -67,13 +87,22 @@ def main(argv=None) -> int:
     seconds = time.perf_counter() - start
     prof = cProfile.Profile()
     prof.runcall(solve_all)
-    calls = pstats.Stats(prof).total_calls
+    stats = pstats.Stats(prof)
+    own, cum = {}, {}
+    for (path, _, name), (_, _, tottime, cumtime, _) in stats.stats.items():
+        layer = LAYERS.get((Path(path).name, name))
+        if layer:
+            own[layer], cum[layer] = tottime, cumtime
     print(f"instance: {spec}")
     print(f"solves: {len(cfgs)}")
     print(f"rounds: {rounds}")
     print(f"seconds: {seconds:.4f}")
     print(f"ms_per_round: {1000 * seconds / max(rounds, 1):.4f}")
-    print(f"calls_per_round: {calls / max(rounds, 1):.1f}")
+    print(f"calls_per_round: {stats.total_calls / max(rounds, 1):.1f}")
+    per_round = 1000 / max(rounds, 1)
+    for label, times in ("self_ms_per_round", own), ("cum_ms_per_round", cum):
+        split = (f"{layer} {per_round * times.get(layer, 0.0):.4f}" for layer in LAYERS.values())
+        print(f"{label}:", ", ".join(split))
     return 0
 
 

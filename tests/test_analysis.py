@@ -321,6 +321,19 @@ class TestTailExperiment:
         est = an.tail_experiment(PAIR_W, 0.5, -0.5, 500, seed=2)
         assert est.point_estimate == 1.0
 
+    def test_nan_weight_rejected(self):
+        # a NaN weight would make every trial's S NaN, and S > threshold
+        # would then count no trial, though at p = 1 each marks (2, 3)
+        h = Hypergraph(3, [(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="not positive"):
+            an.WeightedHypergraph(h, {(1, 2): math.nan, (2, 3): 1.0})
+        wh = an.WeightedHypergraph(h, {(1, 2): 1.0, (2, 3): 1.0})
+        assert an.tail_experiment(wh, 1.0, 0.5, 10, 1).exceed_count == 10
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            an.tail_experiment(PAIR_W, 0.5, math.nan, 10, seed=1)
+
     def test_deterministic(self):
         a = an.tail_experiment(PAIR_W, 0.5, 0.5, 3000, seed=4)
         b = an.tail_experiment(PAIR_W, 0.5, 0.5, 3000, seed=4)

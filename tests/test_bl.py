@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import full_recompute as full
@@ -17,7 +18,14 @@ from hypermis.bl import (
     make_state,
     run_bl,
 )
-from hypermis.core import Hypergraph, is_independent, is_maximal_independent, normalize
+from hypermis.core import (
+    Hypergraph,
+    InternalInvariantError,
+    degree_profile,
+    is_independent,
+    is_maximal_independent,
+    normalize,
+)
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
 from hypermis.sbl import FALLBACK_GREEDY, SblConfig, run_sbl
 from hypermis import _edgeops as ops
@@ -234,6 +242,50 @@ class TestRunBl:
             BlConfig(seed=1, p_override=0.0)
         with pytest.raises(ValueError):
             BlConfig(seed=1, max_rounds=0)
+
+    def test_cleanup_rejects_a_row_that_loses_nothing(self):
+        # rows (1, 2) and (3, 4): deleting 1 from both would look up row
+        # 1's full mask, which numbers no proper subset
+        state = make_state(Hypergraph(4, [(1, 2), (3, 4)]))
+        with pytest.raises(InternalInvariantError, match="lost no id"):
+            state.cleanup(np.array([1]), np.array([0, 1]))
+        with pytest.raises(InternalInvariantError, match="empty"):
+            state.cleanup(np.array([1, 2]), np.array([0]))
+
+    def test_subset_tables_and_holder_lists_are_built_on_need(self, monkeypatch):
+        # the outer sampling state only shrinks rows: it numbers their
+        # subsets and lists holders at its first blue shrink, but builds no
+        # count tables; a one-shot count builds no holder lists
+        states, counts = [], []
+
+        class RecordedState(State):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states.append(self)
+
+        class RecordedCounts(ops.SubsetCounts):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts.append(self)
+
+        monkeypatch.setattr(bl, "State", RecordedState)
+        monkeypatch.setattr(sbl, "State", RecordedState)
+        monkeypatch.setattr(ops, "SubsetCounts", RecordedCounts)
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=7, m=120, dim=3))
+        cfg = SblConfig(seed=2, p_override=0.3, d_cap_override=2, stop_threshold_override=4)
+        res = run_sbl(h, cfg)
+        assert sum(rec.edges_shrunk for rec in res.rounds) > 0
+        outer, inner = states[0], states[1:]
+        assert "_holder_lists" in vars(outer.counts)
+        assert "_tables" not in vars(outer.counts)
+        with_rows = [s for s in inner if s.rows.shape[0]]  # a run on rows reads delta
+        assert with_rows and all("_tables" in vars(s.counts) for s in with_rows)
+        assert all("counts" not in vars(s) for s in inner if not s.rows.shape[0])
+        counts.clear()
+        degree_profile(h)
+        ops.max_norm_degree(*h.arrays, h.n)
+        assert len(counts) == 2
+        assert all("_tables" in vars(c) and "_holder_lists" not in vars(c) for c in counts)
 
     def test_rows_stay_as_built(self, monkeypatch):
         # every state of a whole run_bl and run_sbl (the outer state and

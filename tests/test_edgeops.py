@@ -42,10 +42,10 @@ WIDE_N = 2 ** 20
 
 
 @st.composite
-def hypergraphs(draw):
-    """Edges over a small pool of ids drawn from 1..n, so edges overlap,
-    repeat and nest."""
-    n = draw(st.sampled_from([8, 300, 4096, WIDE_N]))
+def hypergraphs(draw, ns=(8, 300, 4096, WIDE_N)):
+    """Edges over a small pool of ids drawn from 1..n, n one of `ns`, so
+    edges overlap, repeat and nest."""
+    n = draw(st.sampled_from(ns))
     dim = draw(st.integers(2, 8))
     pool = draw(st.lists(st.integers(1, n), min_size=dim, max_size=dim + 4, unique=True))
     edges = draw(
@@ -249,6 +249,27 @@ def test_subset_counts_follow_shrinking_rows(h, data):
         lm, ls = ops.edge_matrix([rows[i] for i in live])
         present = np.bincount(ls, minlength=h.dim + 1)
         assert counts.best(present) == ops.max_norm_degree(lm, ls, h.n)
+
+
+@seed(1405_1133)
+@given(hypergraphs(ns=(WIDE_N,)), st.data())
+def test_holder_lists_match_brute_force(h, data):
+    # normalized rows of sizes 1-8 with ids below 2^20, so subsets of 4 or
+    # more ids are keyed through ranks; the holders of a row's subset are
+    # every row holding it, the row itself included, each once
+    mat, sizes = normalize(h).arrays
+    wide = np.flatnonzero(sizes >= 2).tolist()
+    if not wide:
+        return
+    counts = ops.SubsetCounts(mat, sizes, h.n)
+    rows = data.draw(st.lists(st.sampled_from(wide), min_size=1, max_size=6))
+    masks = [data.draw(st.integers(1, (1 << int(sizes[i])) - 2)) for i in rows]
+    k, q = counts.holders(np.array(rows), np.array(masks))
+    edges = [set(e) for e in ops.matrix_to_edges(mat, sizes)]
+    for j, (i, u) in enumerate(zip(rows, masks)):
+        subset = {int(mat[i, c]) for c in range(sizes[i]) if u >> c & 1}
+        want = [x for x, e in enumerate(edges) if subset <= e]
+        assert sorted(q[k == j].tolist()) == want
 
 
 def test_subset_counts_memory_is_flat_per_row():
