@@ -9,7 +9,7 @@ numbers the rows' proper subsets: its count tables give every degree pair
 (the marking solver moves each changed row from its old column mask, the
 columns of the row as built it still holds, to its new one;
 :func:`hypermis.core.degree_profile` and :func:`max_norm_degree` count
-from scratch), and its holder lists the containment search.
+from scratch), and its holder lists the solver's containment search.
 
 Subsets are matched by uint64 keys, one scheme at any edge width: ids
 are bit-packed while the key fits in 63 bits; before a column that would
@@ -249,20 +249,19 @@ class SubsetCounts:
 
     Row i is counted over a column mask, the columns of its ids at
     construction it still holds (all sizes[i] of them then; a row of size
-    0 counts nothing).  A t-subset is numbered below[t] plus the rank of
-    its key among the t-subsets of all rows at construction, so only
-    subsets of those rows can be counted, which holds while rows only
-    shrink.  The subset of row i over the columns of submask u has number
+    0 counts nothing).  A t-subset is numbered by the rank of its key
+    among the t-subsets of all rows at construction, so only subsets of
+    those rows can be counted, which holds while rows only shrink.  The
+    subset of row i over the columns of submask u has number
     sub[first[i] + u * step[i]]: the rows of each size s (owners[s]) keep
     their numbers in one block of `sub`, 2^s runs of one entry per row,
     of which the runs of the proper non-empty u are used.  The table of
     each (s, t) in `tables`, number table_of[s, t], holds one count per
     t-subset, the number of counted rows of size s holding it; the tables
-    lie end to end, table i from starts[i], a size-s row's subset g at
-    base[s] + g.  top[i] is the largest count of table i and total[i] the
-    sum of its counts.  The tables, and the holder lists of
-    :meth:`holders`, are built on first read: a one-shot count lists no
-    holders, and a solver state that only shrinks rows counts nothing.
+    lie end to end in `count`, table i from starts[i].  top[i] is the
+    largest count of table i and total[i] the sum of its counts.  The
+    holder lists of :meth:`holders` invert the numbering; they are built
+    on first read, so a one-shot count lists no holders.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
@@ -279,61 +278,60 @@ class SubsetCounts:
             self.step[i] = len(i)
             end += len(i) << s
         self.sub = np.zeros(end, dtype=np.intp)
-        self.below, self._sorted = [0, 0], []
+        nkeys, blocks = [0], {}
         for t in range(1, width):
-            larger = [(s, self.owners[s]) for s in present if s > t]
-            subsets = [_subsets(mat[i, :s], t) for s, i in larger]
+            larger = [s for s in present if s > t]
+            subsets = [_subsets(mat[self.owners[s], :s], t) for s in larger]
             # keyed in one call, so that the ranks compare across sizes
             keys = _row_keys(np.concatenate(subsets, axis=1).T, bits)
-            # key j * k + i of the k rows of size s is the subset of row i
-            # over submask u_j, whose number goes to sub[first[i] + u_j * k]
-            uk = [np.left_shift(1, _combos(s, t)).sum(axis=0)[:, None] * len(i) for s, i in larger]
-            pos = np.concatenate([(self.first[i] + u).ravel() for (_, i), u in zip(larger, uk)])
-            order = keys.argsort()
-            keys, pos = keys[order], pos[order]  # the subsets by number, kept
-            self.sub[pos] = np.cumsum(np.append(True, keys[1:] != keys[:-1])) + (self.below[t] - 1)
-            self.below.append(int(self.sub[pos[-1]]) + 1)
-            self._sorted.append(pos)
+            keys, ids = np.unique(keys, return_inverse=True)
+            nkeys.append(len(keys))
+            cuts = np.cumsum([sub.shape[1] for sub in subsets])[:-1]
+            for s, part in zip(larger, np.split(ids, cuts)):
+                # subset j of the k size-s rows is part[j * k : (j + 1) * k]
+                k, lo = len(self.owners[s]), self.first[self.owners[s][0]]
+                runs = self.sub[lo : lo + (k << s)].reshape(1 << s, k)
+                runs[np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k)
+                blocks[s, t] = np.bincount(part, minlength=len(keys))
+        self.nkeys = nkeys  # nkeys[t] t-subsets
         self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
-        self.starts = np.cumsum([0, *(self.below[t + 1] - self.below[t] for _, t in self.tables)])
+        self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
         self.table_of = np.zeros((width + 1, width), dtype=np.intp)
-        self.base = np.zeros(width + 1, dtype=np.intp)
+        self.count = np.zeros(self.starts[-1], dtype=np.intp)
         for i, (s, t) in enumerate(self.tables):
             self.table_of[s, t] = i
-            self.base[s] = self.starts[i] - self.below[t]
+        for (s, t), block in blocks.items():
+            lo = self.starts[self.table_of[s, t]]
+            self.count[lo : lo + len(block)] = block
+        self.top = np.maximum.reduceat(self.count, self.starts[:-1])
+        self.total = np.add.reduceat(self.count, self.starts[:-1])
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(count, top, total) over the rows at construction."""
-        count = np.zeros(self.starts[-1], dtype=np.intp)
+    def _holder_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ptr, rows, below): the rows at construction holding t-subset g
+        as a proper subset are rows[ptr[h] : ptr[h + 1]], h = below[t] + g."""
+        below, num, row = np.cumsum([0, *self.nkeys]), [], []
         for s, i in self.owners.items():
-            lo, k = self.first[i[0]], len(i)  # runs 1 to 2^s - 2 of the block
-            block = np.bincount(self.sub[lo + k : lo + (k << s) - k], minlength=self.below[s])
-            count[self.base[s] : self.base[s] + len(block)] = block
-        cuts = self.starts[:-1]
-        return count, np.maximum.reduceat(count, cuts), np.add.reduceat(count, cuts)
-
-    top = property(lambda self: self._tables[1], doc="The largest count of each table.")
-
-    @cached_property
-    def _holder_lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ptr, rows): the rows at construction holding subset g, as a
-        proper subset, are rows[ptr[g] : ptr[g + 1]]."""
-        where = np.concatenate(self._sorted)
-        row = np.concatenate([np.tile(i, 1 << s) for s, i in self.owners.items()])
-        return np.searchsorted(self.sub[where], np.arange(self.below[-1] + 1)), row[where]
+            u = np.arange(1, (1 << s) - 1)  # the used runs of the block
+            lo, k = self.first[i[0]] + len(i), len(i)
+            num.append(self.sub[lo : lo + len(u) * k] + below[np.bitwise_count(u)].repeat(k))
+            row.append(np.tile(i, len(u)))
+        num = np.concatenate(num)
+        ptr = np.append(0, np.bincount(num, minlength=below[-1]).cumsum())
+        return ptr, np.concatenate(row)[num.argsort()], below
 
     def holders(self, rows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, q) for every row q at construction holding the subset of
         row rows[k] over its proper non-empty column submask masks[k] (a
         row equal to it is not listed; normalized rows hold none)."""
-        return csr_gather(*self._holder_lists, self.sub[self.first[rows] + masks * self.step[rows]])
+        ptr, held, below = self._holder_lists
+        g = self.sub[self.first[rows] + masks * self.step[rows]]
+        return csr_gather(ptr, held, below[np.bitwise_count(masks)] + g)
 
     def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Move each of the distinct rows `rows` from column mask old[i]
         to new[i] (0 for a row that leaves): uncount the subsets over the
         old columns and count those over the new."""
-        count, top, total = self._tables
         masks = np.concatenate([old, new])
         rows = np.concatenate([rows, rows])
         span = np.left_shift(1, self.size[rows]) - 2
@@ -345,23 +343,22 @@ class SubsetCounts:
         keep = ((u & ~mask) == 0) & (u != mask)
         which, u = which[keep], u[keep]
         row = rows[which]
-        size = np.bitwise_count(mask[keep])
-        table = self.table_of[size, np.bitwise_count(u)]
-        found = self.base[size] + self.sub[self.first[row] + u * self.step[row]]
+        table = self.table_of[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
+        found = self.starts[table] + self.sub[self.first[row] + u * self.step[row]]
         steps = np.where(which < len(old), -1, 1)
-        before = count[found]
-        np.add.at(count, found, steps)
-        np.add.at(total, table, steps)
-        after = count[found]
+        before = self.count[found]
+        np.add.at(self.count, found, steps)
+        np.add.at(self.total, table, steps)
+        after = self.count[found]
         # a table's top fell only if a subset that stood at it went down;
         # a top of 1 stays while the table counts anything
-        fell = table[(after < before) & (before == top[table])]
-        np.maximum.at(top, table, after)
+        fell = table[(after < before) & (before == self.top[table])]
+        np.maximum.at(self.top, table, after)
         for i in set(fell.tolist()):
-            if top[i] == 1:
-                top[i] = total[i] > 0
+            if self.top[i] == 1:
+                self.top[i] = self.total[i] > 0
             else:
-                top[i] = count[self.starts[i] : self.starts[i + 1]].max()
+                self.top[i] = self.count[self.starts[i] : self.starts[i + 1]].max()
 
     def pairs(self, nsize: np.ndarray) -> dict[int, tuple[int, int]]:
         """Best (count, j) pair of each edge size s >= 2 among the counted

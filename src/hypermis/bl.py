@@ -23,13 +23,14 @@ row for the ids the row still holds.  From then on a round pays only
 for the rows it touches: the rows a vertex lies in are found through a
 vertex->edge incidence list, :meth:`State.cleanup` clears the bits of
 the committed vertices in just the rows holding one and drops the live
-rows holding a changed row, listed as the rows that held its ids as
-built, and delta is read from subset-count tables moved with those rows'
-masks (reused as is after a round that changed none).  A round whose
-marks lie in no row, with no singleton edge left, changes only the
-vertex set.  The sampling solver runs its rounds on the same state and its
-inner marking runs on the induced rows, compacted.  A run on a
-Hypergraph checks its result once, against the input, with
+rows holding a changed row (from subset holder lists, or by shared ids
+in a state that reads no degree), and delta is read from subset-count
+tables moved with those rows' masks (reused as is after a round that
+changed none).  A round whose marks lie in no row, with no singleton
+edge left, changes only the vertex set.  The sampling solver runs its
+rounds on the same state, which numbers no subsets of its rows, however
+wide, and its inner marking runs on the induced rows, compacted.  A run
+on a Hypergraph checks its result once, against the input, with
 :func:`hypermis.core.is_maximal_independent`.
 
 Randomness is counter-based on (seed, round, vertex id): results are
@@ -41,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -132,11 +132,11 @@ class State:
     live rows among those holding all of them as built are exactly the
     live rows holding them now.
 
-    `counts` numbers the subsets of `rows` as built, on first use: its
-    holder lists serve the cleanup, its count tables the degree pair.  A
-    row that changed before the first degree read moves once from its
+    The subset counts behind the degree pair are built on first use, over
+    `rows` as built; a row that changed before then moves once from its
     full mask to its mask then, and every later change moves the row's
-    counts from its old mask to its new one.
+    counts from its old mask to its new one.  The cleanup then reads the
+    holder lists; a state that reads no degree numbers no subsets.
     """
 
     def __init__(self, n: int, alive: np.ndarray, mat: np.ndarray, sizes: np.ndarray):
@@ -157,7 +157,7 @@ class State:
         self.verts = alive
         self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
         self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
-        self._counted = False  # whether the subset counts follow the masks
+        self.counts: ops.SubsetCounts | None = None
         self._pair: tuple[int, int] | None = None
         self._pair_stale = True
 
@@ -179,18 +179,14 @@ class State:
         moved to its front."""
         return ops.compact(self.rows[rows], (self.cols[rows, None] & self.bit) != 0)
 
-    @cached_property
-    def counts(self) -> ops.SubsetCounts:
-        """The subset numbering of `rows` as built, made on first use."""
-        return ops.SubsetCounts(self.rows, np.count_nonzero(self.rows, axis=1), self.n)
-
     def degree_pair(self) -> tuple[int, int] | None:
         """:func:`hypermis._edgeops.max_norm_degree` of the live rows."""
-        if not self._counted:
-            full = np.left_shift(1, self.counts.size) - 1
+        if self.counts is None:
+            built = np.count_nonzero(self.rows, axis=1)
+            self.counts = ops.SubsetCounts(self.rows, built, self.n)
+            full = np.left_shift(1, built) - 1
             moved = np.flatnonzero(self.cols != full)
             self.counts.recount(moved, full[moved], self.cols[moved])
-            self._counted = True
         if self._pair_stale:
             self._pair = self.counts.best(self.nsize)
             self._pair_stale = False
@@ -216,7 +212,7 @@ class State:
         np.subtract.at(self.nsize, old_size, 1)
         np.add.at(self.nsize, size[size > 0], 1)
         self.m -= len(rows) - int(np.count_nonzero(size))
-        if self._counted and old_size.max() >= 2:  # singletons count nothing
+        if self.counts is not None and old_size.max() >= 2:  # singletons count nothing
             self.counts.recount(rows, old, self.cols[rows])
         self._pair_stale = True
 
@@ -237,9 +233,8 @@ class State:
         inside any live row, but it can newly contain or equal only
         another changed row q (an unchanged q inside r lay strictly inside
         r's old ids), and then q lies inside r; so it is enough to find,
-        for each changed row, the live rows that hold it, among the rows
-        holding its ids as built.  Returns the changed rows and those of
-        them still live.
+        for each changed row, the live rows that held its ids as built
+        (see above).  Returns the changed rows and those still live.
         """
         if not len(touched):
             return touched, touched
@@ -249,9 +244,17 @@ class State:
         if not (size.all() and (size < old_size).all()):
             raise InternalInvariantError("edge shrank to empty or lost no id in a cleanup")
         self.cols[touched], self.size[touched] = cols, size
-        # a holder q of changed row r leaves when it holds r strictly or
-        # equals r and comes after it (so not r, nor a row gone: size 0)
-        k, q = self.counts.holders(touched, cols)
+        # (k, q) for the rows q holding changed row touched[k], itself too:
+        # its holder list if the state counts subsets, else by shared ids
+        if self.counts is not None:
+            k, q = self.counts.holders(touched, cols)
+        else:
+            k, q = self.incidences(rows[(cols[:, None] & self.bit) != 0])
+            span = len(self.size)
+            r = np.repeat(np.arange(len(touched)), size)[k]
+            pair, shared = ops.distinct(r * span + q, counts=True)
+            k, q = np.divmod(pair[shared == size[pair // span]], span)
+        # q leaves if it holds r strictly, or equals r and comes after it
         held, t = self.size[q], size[k]
         doomed = ops.distinct(q[(held > t) | ((held == t) & (q > touched[k]))])
         lost = doomed[~ops.member(doomed, touched)]  # unchanged rows that leave

@@ -252,10 +252,10 @@ class TestRunBl:
         with pytest.raises(InternalInvariantError, match="empty"):
             state.cleanup(np.array([1, 2]), np.array([0]))
 
-    def test_subset_tables_and_holder_lists_are_built_on_need(self, monkeypatch):
-        # the outer sampling state only shrinks rows: it numbers their
-        # subsets and lists holders at its first blue shrink, but builds no
-        # count tables; a one-shot count builds no holder lists
+    def test_only_states_that_read_degrees_number_subsets(self, monkeypatch):
+        # the outer sampling state only shrinks rows, of any width: it
+        # numbers no subsets; an inner state with rows reads delta, so it
+        # counts and lists holders; a one-shot count lists no holders
         states, counts = [], []
 
         class RecordedState(State):
@@ -276,16 +276,15 @@ class TestRunBl:
         res = run_sbl(h, cfg)
         assert sum(rec.edges_shrunk for rec in res.rounds) > 0
         outer, inner = states[0], states[1:]
-        assert "_holder_lists" in vars(outer.counts)
-        assert "_tables" not in vars(outer.counts)
-        with_rows = [s for s in inner if s.rows.shape[0]]  # a run on rows reads delta
-        assert with_rows and all("_tables" in vars(s.counts) for s in with_rows)
-        assert all("counts" not in vars(s) for s in inner if not s.rows.shape[0])
+        assert outer.counts is None
+        with_rows = [s for s in inner if s.rows.shape[0]]
+        assert with_rows and all(s.counts is not None for s in with_rows)
+        assert any("_holder_lists" in vars(s.counts) for s in with_rows)
         counts.clear()
         degree_profile(h)
         ops.max_norm_degree(*h.arrays, h.n)
         assert len(counts) == 2
-        assert all("_tables" in vars(c) and "_holder_lists" not in vars(c) for c in counts)
+        assert all("_holder_lists" not in vars(c) for c in counts)
 
     def test_rows_stay_as_built(self, monkeypatch):
         # every state of a whole run_bl and run_sbl (the outer state and

@@ -26,7 +26,7 @@ from conftest import (
     naive_normalize,
 )
 from hypermis import _edgeops as ops
-from hypermis.bl import BlConfig, run_bl
+from hypermis.bl import BlConfig, _mark_round, make_state, run_bl
 from hypermis.core import (
     Hypergraph,
     degree_profile,
@@ -37,6 +37,7 @@ from hypermis.core import (
     normalize,
 )
 from hypermis.sbl import SblConfig, run_sbl
+from single_round import ForcedMarks
 
 WIDE_N = 2 ** 20
 
@@ -270,6 +271,28 @@ def test_holder_lists_match_brute_force(h, data):
         subset = {int(mat[i, c]) for c in range(sizes[i]) if u >> c & 1}
         want = [x for x, e in enumerate(edges) if subset <= e]
         assert sorted(q[k == j].tolist()) == want
+
+
+@seed(1405_1219)
+@given(hypergraphs(), st.data())
+def test_cleanup_holders_match_with_or_without_counts(h, data):
+    # a state that reads degrees finds the rows holding a changed row in
+    # its holder lists, one that reads none by counting shared ids; the
+    # same marks must leave both with the same normalized rows
+    used = np.unique(h.arrays[0][h.arrays[0] > 0])  # so n = 2^20 stays cheap
+    listed, counted = make_state(h, used), make_state(h, used)
+    listed.degree_pair()
+    for rnd in range(4):
+        if not len(listed.alive):
+            break
+        marks = data.draw(st.lists(st.sampled_from(listed.alive.tolist()), max_size=4))
+        for state in (listed, counted):
+            _mark_round(state, 0.5, ForcedMarks(marks), 1.0, rnd)
+        assert counted.counts is None
+        assert np.array_equal(listed.cols, counted.cols)
+        assert np.array_equal(listed.alive, counted.alive)
+        now = Hypergraph(h.n, ops.matrix_to_edges(counted.mat, counted.sizes))
+        assert normalize(now) == now
 
 
 def test_subset_counts_memory_is_flat_per_row():

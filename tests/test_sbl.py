@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypermis.core import Hypergraph, is_maximal_independent
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
 from hypermis import _edgeops as ops
 from hypermis import sbl
-from hypermis.bl import STATUS_ROUND_LIMIT, SolverResult, make_state
+from hypermis.bl import STATUS_OK, STATUS_ROUND_LIMIT, SolverResult, make_state
 from hypermis.sbl import (
     EXIT_BL_DIRECT,
     EXIT_DIMENSION_GATE,
@@ -278,3 +279,20 @@ class TestRunSbl:
             assert not blues & reds
             assert blues.isdisjoint(alive) and reds.isdisjoint(alive)
             assert len(blues) + len(reds) + len(alive) == h.n
+
+
+def test_wide_uniform_rows_shrink_without_subset_tables():
+    # 26-edges are wider than the cap, so every round shrinks them by its
+    # blue vertices; the outer state must not number their 2^26 subsets
+    h = gen(GenSpec(n=120, kind=KIND_UNIFORM, seed=5, m=10, dim=26))
+    cfg = SblConfig(seed=3, p_override=0.3, d_cap_override=2, stop_threshold_override=4)
+    tracemalloc.start()
+    try:
+        res = run_sbl(h, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == STATUS_OK and res.fallback == FALLBACK_GREEDY
+    assert sum(rec.edges_shrunk for rec in res.rounds) > 0
+    assert is_maximal_independent(h, res.mis)
+    assert peak < 8 * 2**20
