@@ -310,15 +310,18 @@ class SubsetCounts:
     def _holder_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ptr, rows, below): the rows at construction holding t-subset g
         as a proper subset are rows[ptr[h] : ptr[h + 1]], h = below[t] + g."""
-        below, num, row = np.cumsum([0, *self.nkeys]), [], []
-        for s, i in self.owners.items():
-            u = np.arange(1, (1 << s) - 1)  # the used runs of the block
-            lo, k = self.first[i[0]] + len(i), len(i)
-            num.append(self.sub[lo : lo + len(u) * k] + below[np.bitwise_count(u)].repeat(k))
-            row.append(np.tile(i, len(u)))
-        num = np.concatenate(num)
-        ptr = np.append(0, np.bincount(num, minlength=below[-1]).cumsum())
-        return ptr, np.concatenate(row)[num.argsort()], below
+        below = np.cumsum([0, *self.nkeys])
+        ptr, rows = np.zeros(below[-1] + 1, dtype=np.intp), [np.zeros(0, dtype=np.intp)]
+        for t in range(1, len(self.nkeys)):  # one subset size at a time, to bound temporaries
+            # the t-subsets of the k size-s rows i: runs u of t bits, sub[first[i] + u * k]
+            at = [(i, np.add.outer(np.left_shift(1, _combos(s, t)).sum(axis=0) * len(i),
+                                   self.first[i]).ravel())
+                  for s, i in self.owners.items() if s > t]
+            num = self.sub[np.concatenate([a for _, a in at])]
+            ptr[below[t] + 1 : below[t + 1] + 1] = ptr[below[t]] + np.bincount(num).cumsum()
+            row = np.concatenate([np.tile(i, len(a) // len(i)) for i, a in at])
+            rows.append(row[num.argsort()])
+        return ptr, np.concatenate(rows), below
 
     def holders(self, rows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, q) for every row q at construction holding the subset of

@@ -258,7 +258,7 @@ def kelsen_constants(
         raise ValueError("p must lie in (0, 1]")
     L = math.log2(n)
     delta = L * L if delta_param is None else float(delta_param)
-    if delta <= 1.0:
+    if not delta > 1.0:  # NaN too
         raise ValueError("delta_param must be > 1")
     k_log2 = (2 ** d - 1) * math.log2(L + 2.0) + 2 ** (d - 1) * math.log2(delta)
     p_log2 = (

@@ -23,15 +23,15 @@ row for the ids the row still holds.  From then on a round pays only
 for the rows it touches: the rows a vertex lies in are found through a
 vertex->edge incidence list, :meth:`State.cleanup` clears the bits of
 the committed vertices in just the rows holding one and drops the live
-rows holding a changed row (from subset holder lists, or by shared ids
-in a state that reads no degree), and delta is read from subset-count
-tables moved with those rows' masks (reused as is after a round that
-changed none).  A round whose marks lie in no row, with no singleton
-edge left, changes only the vertex set.  The sampling solver runs its
-rounds on the same state, which numbers no subsets of its rows, however
-wide, and its inner marking runs on the induced rows, compacted.  A run
-on a Hypergraph checks its result once, against the input, with
-:func:`hypermis.core.is_maximal_independent`.
+rows holding a changed row (from subset holder lists, or pair holder
+lists in a state that reads no degree), and delta is read from
+subset-count tables moved with those rows' masks (reused as is after a
+round that changed none).  A round whose marks lie in no row, with no
+singleton edge left, changes only the vertex set.  The sampling solver
+runs its rounds on the same state, which numbers only the pairs of its
+rows, however wide, and its inner marking runs on the induced rows,
+compacted.  A run on a Hypergraph checks its result once, against the
+input, with :func:`hypermis.core.is_maximal_independent`.
 
 Randomness is counter-based on (seed, round, vertex id): results are
 bit-identical no matter how marking is scheduled.
@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -118,13 +119,12 @@ class State:
     """Working hypergraph of both solvers, updated in place round by round.
 
     `rows` is the edge matrix the state was built on, read-only: row i
-    holds edge i's ids sorted in its first columns (zero padded, see
-    :mod:`hypermis._edgeops`), and rows never move.  cols[i] is the
-    bitmask of the columns row i still holds, 0 once the row is gone, and
-    size[i] its bit count; a row only loses bits, and a row of size 0 is
-    gone for good.  `mat` and `sizes` give the live rows compacted, `m`
-    counts them and nsize[s] counts those of size s.  `alive` lists the
-    undecided vertices, sorted.
+    holds edge i's built[i] ids sorted in its first columns (zero padded),
+    and rows never move.  cols[i] is the bitmask of the columns row i
+    still holds, 0 once the row is gone, and size[i] its bit count; a row
+    only loses bits, and a row of size 0 is gone for good.  `mat` and
+    `sizes` give the live rows compacted, `m` counts them and nsize[s]
+    counts those of size s.  `alive` lists the undecided vertices, sorted.
 
     The rows holding id verts[k] (the vertices at construction) are
     inc[ptr[k]:ptr[k + 1]].  An id leaves a row only when it leaves
@@ -135,8 +135,10 @@ class State:
     The subset counts behind the degree pair are built on first use, over
     `rows` as built; a row that changed before then moves once from its
     full mask to its mask then, and every later change moves the row's
-    counts from its old mask to its new one.  The cleanup then reads the
-    holder lists; a state that reads no degree numbers no subsets.
+    counts from its old mask to its new one, and the cleanup reads their
+    holder lists.  A state that reads no degree numbers only each row's
+    pairs, for the cleanup (:meth:`_holding`); one with no row of two or
+    more ids has no degree pair and counts nothing.
     """
 
     def __init__(self, n: int, alive: np.ndarray, mat: np.ndarray, sizes: np.ndarray):
@@ -146,7 +148,7 @@ class State:
         mat.flags.writeable = False
         self.n = n
         self.alive = alive
-        self.rows = mat
+        self.rows, self.built = mat, sizes
         self.cols = np.left_shift(1, sizes) - 1
         self.size = sizes.copy()
         self.bit = np.left_shift(1, np.arange(mat.shape[1]))
@@ -182,11 +184,13 @@ class State:
     def degree_pair(self) -> tuple[int, int] | None:
         """:func:`hypermis._edgeops.max_norm_degree` of the live rows."""
         if self.counts is None:
-            built = np.count_nonzero(self.rows, axis=1)
-            self.counts = ops.SubsetCounts(self.rows, built, self.n)
-            full = np.left_shift(1, built) - 1
+            if not self.nsize[2:].any():
+                return None  # rows only shrink, so no pair can appear
+            self.counts = ops.SubsetCounts(self.rows, self.built, self.n)
+            full = np.left_shift(1, self.built) - 1
             moved = np.flatnonzero(self.cols != full)
-            self.counts.recount(moved, full[moved], self.cols[moved])
+            if len(moved):
+                self.counts.recount(moved, full[moved], self.cols[moved])
         if self._pair_stale:
             self._pair = self.counts.best(self.nsize)
             self._pair_stale = False
@@ -216,6 +220,40 @@ class State:
             self.counts.recount(rows, old, self.cols[rows])
         self._pair_stale = True
 
+    @cached_property
+    def _pair_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(first, num, ptr, held): columns a < b of row i as built hold pair
+        number num[first[i] + b * (b - 1) // 2 + a], and the rows as built
+        holding pair g are held[ptr[g] : ptr[g + 1]]."""
+        pairs = self.built * (self.built - 1) // 2
+        first, w = np.cumsum(pairs) - pairs, self.rows.shape[1]
+        ab = np.array([(a, b) for b in range(w) for a in range(b)], np.intp).reshape(-1, 2)
+        row = np.repeat(np.arange(len(pairs)), pairs)
+        at = np.take(ab, np.arange(len(row)) - np.repeat(first, pairs), axis=0)  # its (a, b)
+        keys = ops.lex_keys(np.take(self.rows, at + (row * w)[:, None]), self.n)
+        order = keys.argsort()
+        new = np.append(True, np.diff(keys[order]) != 0)  # first of its pair
+        num = np.empty_like(order)
+        num[order] = np.cumsum(new) - 1
+        return first, num, np.append(np.flatnonzero(new), len(order)), row[order]
+
+    def _holding(self, touched: np.ndarray, cols: np.ndarray, size: np.ndarray):
+        """(k, q) for live rows q holding all size[k] ids of mask cols[k] of
+        row touched[k]: the rows holding its one id, else those other than
+        it that held its first two as built and hold the rest."""
+        one, two = np.flatnonzero(size == 1), np.flatnonzero(size > 1)
+        k1, q1 = self.incidences(self.rows[touched[one], np.bitwise_count(cols[one] - 1)])
+        c = cols[two]  # a, b: the columns of its lowest set bit and of the next
+        a, b = (np.bitwise_count((x & -x) - 1).astype(np.intp) for x in (c, c & (c - 1)))
+        first, num, ptr, held = self._pair_lists
+        k, q = ops.csr_gather(ptr, held, num[first[touched[two]] + b * (b - 1) // 2 + a])
+        other = (q != touched[two[k]]) & (self.size[q] > 0)
+        k, q = two[k[other]], q[other]
+        # a live row holds an alive id now iff it held it as built
+        ids = np.where((cols[k, None] & self.bit) != 0, self.rows[touched[k]], -1)
+        holds = (ids[:, :, None] == self.rows[q][:, None, :]).any(axis=2).sum(axis=1) == size[k]
+        return np.concatenate([one[k1], k[holds]]), np.concatenate([q1, q[holds]])
+
     def drop(self, rows: np.ndarray) -> None:
         """Remove the distinct live rows `rows`."""
         if len(rows):
@@ -244,16 +282,12 @@ class State:
         if not (size.all() and (size < old_size).all()):
             raise InternalInvariantError("edge shrank to empty or lost no id in a cleanup")
         self.cols[touched], self.size[touched] = cols, size
-        # (k, q) for the rows q holding changed row touched[k], itself too:
-        # its holder list if the state counts subsets, else by shared ids
+        # (k, q) for rows q holding changed row touched[k], from its subset's
+        # holder list if the state counts subsets, else from its pair's
         if self.counts is not None:
             k, q = self.counts.holders(touched, cols)
         else:
-            k, q = self.incidences(rows[(cols[:, None] & self.bit) != 0])
-            span = len(self.size)
-            r = np.repeat(np.arange(len(touched)), size)[k]
-            pair, shared = ops.distinct(r * span + q, counts=True)
-            k, q = np.divmod(pair[shared == size[pair // span]], span)
+            k, q = self._holding(touched, cols, size)
         # q leaves if it holds r strictly, or equals r and comes after it
         held, t = self.size[q], size[k]
         doomed = ops.distinct(q[(held > t) | ((held == t) & (q > touched[k]))])

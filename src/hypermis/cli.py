@@ -256,6 +256,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    for opt in {"lemma2": "j", "tail": "jk", "migration": "jk"}.get(args.which, ""):
+        if getattr(args, opt) is None:
+            raise ValueError(f"{args.which} needs --{opt}")
     h = load_hg(args.input)
     x = _parse_ids(args.x) if args.x else ()
     _check_ids(x, h.n, "--x")

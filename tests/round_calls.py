@@ -1,26 +1,31 @@
-"""Print the fixed cost of a marking round: rounds, ms per round,
-Python-level calls per round, and the profiled ms per round of its
-layers.
+"""Print the fixed cost of a marking round, or of a sampling round:
+rounds, ms per round, Python-level calls per round, and the profiled ms
+per round of its layers.
 
     python3 tests/round_calls.py --n 4096 --m 8192 --dim 3 --gen-seed 7100 --seeds 1-12
     python3 tests/round_calls.py --n 4096 --m 256 --dim 6 --p 0.05 --seeds 1-32
     python3 tests/round_calls.py --n 40 --m 30 --kind mixed-dims --dim-range 10:12 --gen-seed 1
+    python3 tests/round_calls.py --n 4096 --m 8192 --dim 4 --gen-seed 100 --sbl-p 0.08 --d-cap 3 --seeds 1-8
 
 One instance is made from the ``GenSpec`` flags; ``bl.run_bl`` then runs
-on it once per solver seed with the ``BlConfig`` flags.  The seeds run
-untimed once (warm-up), then timed (``perf_counter``), then under
-cProfile; ms per round is the timed total over all rounds, and calls per
-round is the profile's total ``ncalls`` (primitive and recursive) over
-all rounds.  Two lines split the round by layer, from the same profile:
-``self_ms_per_round`` is the own time (``tottime``) and
-``cum_ms_per_round`` the time with callees (``cumtime``) of
-``State.cleanup``, ``State.incidences``, ``SubsetCounts.holders``,
-``SubsetCounts.recount`` and ``rng.uniforms`` (the benchmark's tracer
+on it once per solver seed with the ``BlConfig`` flags, or, with
+``--sbl-p``, ``sbl.run_sbl`` with that sampling probability and the
+dimension cap ``--d-cap``, and a round is then a sampling round.  The
+seeds run untimed once (warm-up), then timed (``perf_counter``), then
+under cProfile; ms per round is the timed total over all rounds, and
+calls per round is the profile's total ``ncalls`` (primitive and
+recursive) over all rounds.  Two lines split the round by layer, from
+the same profile: ``self_ms_per_round`` is the own time (``tottime``)
+and ``cum_ms_per_round`` the time with callees (``cumtime``) of the
+methods in ``LAYERS`` and ``rng.uniforms`` (the benchmark's tracer
 wraps module functions only, so it cannot time these).  Own time holds
 the function's bytecode and the numpy operators and ufuncs it applies,
 not the functions and methods it calls; both include profiler overhead,
-so they compare only with another profiled run.  Imports hypermis from
-the ``src/`` beside this directory, so a copy of the script in another
+so they compare only with another profiled run.  A sampling run also
+prints ``outer_cleanup_ms_per_round``, the wall time of the blue
+shrink's ``State.cleanup`` on the outer state (not the inner runs'),
+from one more pass with a timer around it.  Imports hypermis from the
+``src/`` beside this directory, so a copy of the script in another
 checkout measures that checkout.
 Not collected by pytest (the name does not start with ``test_``).
 """
@@ -36,13 +41,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hypermis import bl, generate  # noqa: E402
+from hypermis import bl, generate, sbl  # noqa: E402
 
 
 # (file, function) of each layer timed on its own
 LAYERS = {
     ("bl.py", "cleanup"): "State.cleanup",
     ("bl.py", "incidences"): "State.incidences",
+    ("bl.py", "_pair_lists"): "State._pair_lists",
+    ("bl.py", "_holding"): "State._holding",
     ("_edgeops.py", "holders"): "SubsetCounts.holders",
     ("_edgeops.py", "recount"): "SubsetCounts.recount",
     ("rng.py", "uniforms"): "rng.uniforms",
@@ -66,7 +73,38 @@ def parse_args(argv):
     ap.add_argument("--p", type=float, help="BlConfig.p_override")
     ap.add_argument("--p-mode", default=bl.P_MODE_RECOMPUTE)
     ap.add_argument("--max-rounds", type=int)
+    ap.add_argument("--sbl-p", type=float, help="run the sampling solver at this p")
+    ap.add_argument("--d-cap", type=int, default=3, help="its dimension cap")
     return ap.parse_args(argv)
+
+
+def outer_cleanup_seconds(solve_all) -> float:
+    """Wall time of ``State.cleanup`` calls made outside an inner
+    ``run_bl`` while `solve_all` runs."""
+    cleanup, run_bl = bl.State.cleanup, sbl.run_bl
+    inner, total = [0], [0.0]
+
+    def timed_cleanup(self, *args):
+        start = time.perf_counter()
+        try:
+            return cleanup(self, *args)
+        finally:
+            if not inner[0]:
+                total[0] += time.perf_counter() - start
+
+    def counted_run_bl(*args):
+        inner[0] += 1
+        try:
+            return run_bl(*args)
+        finally:
+            inner[0] -= 1
+
+    bl.State.cleanup, sbl.run_bl = timed_cleanup, counted_run_bl
+    try:
+        solve_all()
+    finally:
+        bl.State.cleanup, sbl.run_bl = cleanup, run_bl
+    return total[0]
 
 
 def main(argv=None) -> int:
@@ -75,11 +113,17 @@ def main(argv=None) -> int:
     spec = generate.GenSpec(n=args.n, kind=args.kind, seed=args.gen_seed, m=args.m,
                             dim=args.dim, dim_range=dim_range)
     h = generate.gen(spec)
-    cfgs = [bl.BlConfig(seed=s, p_mode=args.p_mode, p_override=args.p,
-                        max_rounds=args.max_rounds) for s in args.seeds]
+    if args.sbl_p is None:
+        solve = bl.run_bl
+        cfgs = [bl.BlConfig(seed=s, p_mode=args.p_mode, p_override=args.p,
+                            max_rounds=args.max_rounds) for s in args.seeds]
+    else:
+        solve = sbl.run_sbl
+        cfgs = [sbl.SblConfig(seed=s, p_override=args.sbl_p, d_cap_override=args.d_cap,
+                              max_rounds=args.max_rounds) for s in args.seeds]
 
     def solve_all():
-        return sum(len(bl.run_bl(h, cfg).rounds) for cfg in cfgs)
+        return sum(len(solve(h, cfg).rounds) for cfg in cfgs)
 
     solve_all()
     start = time.perf_counter()
@@ -103,6 +147,8 @@ def main(argv=None) -> int:
     for label, times in ("self_ms_per_round", own), ("cum_ms_per_round", cum):
         split = (f"{layer} {per_round * times.get(layer, 0.0):.4f}" for layer in LAYERS.values())
         print(f"{label}:", ", ".join(split))
+    if args.sbl_p is not None:
+        print(f"outer_cleanup_ms_per_round: {per_round * outer_cleanup_seconds(solve_all):.4f}")
     return 0
 
 

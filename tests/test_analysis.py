@@ -213,6 +213,10 @@ class TestBoundConstants:
         with pytest.raises(ValueError):
             an.kelsen_constants(H0, 0.5, delta_param=1.0)
 
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta_param must be > 1"):
+            an.kelsen_constants(H0, 0.5, delta_param=float("nan"))
+
     def test_vacuous_flag(self):
         small = an.kelsen_constants(H0, 0.5, delta_param=1.5)
         assert small.vacuous  # p(H) >> 1 here

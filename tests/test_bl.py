@@ -254,8 +254,10 @@ class TestRunBl:
 
     def test_only_states_that_read_degrees_number_subsets(self, monkeypatch):
         # the outer sampling state only shrinks rows, of any width: it
-        # numbers no subsets; an inner state with rows reads delta, so it
-        # counts and lists holders; a one-shot count lists no holders
+        # numbers no subsets, only pairs; an inner state with a row of size
+        # >= 2 reads delta, so it counts and lists holders; one of
+        # singletons has no degree pair to read, so it counts nothing; a
+        # one-shot count lists no holders
         states, counts = [], []
 
         class RecordedState(State):
@@ -276,15 +278,34 @@ class TestRunBl:
         res = run_sbl(h, cfg)
         assert sum(rec.edges_shrunk for rec in res.rounds) > 0
         outer, inner = states[0], states[1:]
-        assert outer.counts is None
-        with_rows = [s for s in inner if s.rows.shape[0]]
-        assert with_rows and all(s.counts is not None for s in with_rows)
-        assert any("_holder_lists" in vars(s.counts) for s in with_rows)
+        assert outer.counts is None and "_pair_lists" in vars(outer)
+        wide = [(np.count_nonzero(s.rows, axis=1) >= 2).any() for s in inner]
+        assert any(wide) and any(s.rows.shape[0] and not w for s, w in zip(inner, wide))
+        for s, w in zip(inner, wide):
+            assert (s.counts is not None) == w
+            assert not w or "_holder_lists" in vars(s.counts)
         counts.clear()
         degree_profile(h)
         ops.max_norm_degree(*h.arrays, h.n)
         assert len(counts) == 2
         assert all("_holder_lists" not in vars(c) for c in counts)
+
+    def test_degree_counts_move_no_empty_row_set(self, monkeypatch):
+        # a state's counts are built before any row moves in every run_bl
+        # and inner sampling run, so nothing is recounted at build time
+        moved = []
+        recount = ops.SubsetCounts.recount
+
+        def recorded(self, rows, old, new):
+            moved.append(len(rows))
+            return recount(self, rows, old, new)
+
+        monkeypatch.setattr(ops.SubsetCounts, "recount", recorded)
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=7, m=120, dim=3))
+        assert run_bl(h, BlConfig(seed=1)).status == STATUS_OK
+        cfg = SblConfig(seed=2, p_override=0.3, d_cap_override=2, stop_threshold_override=4)
+        run_sbl(h, cfg)
+        assert moved and min(moved) > 0
 
     def test_rows_stay_as_built(self, monkeypatch):
         # every state of a whole run_bl and run_sbl (the outer state and

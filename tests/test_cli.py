@@ -168,6 +168,10 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(instance), "--budget", "10"], capsys)
         assert code == 1 and "budget" in err
 
+    def test_nan_delta_fails(self, instance, capsys):
+        code, out, err = run_cli(["analyze", str(instance), "--delta", "nan"], capsys)
+        assert code == 1 and out == "" and "error: delta_param must be > 1" in err
+
 
 class TestExperiment:
     def test_non_vertex_x_fails(self, instance, capsys):
@@ -216,6 +220,29 @@ class TestExperiment:
         if code == 0:
             row = out.strip().splitlines()[1]
             assert row.startswith("tail,")
+
+    @pytest.mark.parametrize(
+        "which, given, missing",
+        [("lemma2", [], "j"), ("tail", ["--k", "2"], "j"), ("tail", ["--j", "1"], "k"),
+         ("migration", [], "j"), ("migration", ["--j", "1"], "k")],
+    )
+    def test_missing_j_or_k_fails_before_any_work(self, tmp_path, capsys, which, given, missing):
+        # the input does not exist: the flag is checked before it is read
+        code, out, err = run_cli(
+            ["experiment", which, str(tmp_path / "absent.hg"), "--seed", "2",
+             "--trials", "50", "--x", "3", *given],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {which} needs --{missing}\n"
+
+    def test_tail_nan_delta_fails(self, instance, capsys):
+        code, out, err = run_cli(
+            ["experiment", "tail", str(instance), "--seed", "2",
+             "--trials", "400", "--x", "3", "--j", "1", "--k", "2", "--delta", "nan"],
+            capsys,
+        )
+        assert code == 1 and out == "" and "error: delta_param must be > 1" in err
 
 
 class TestInputErrors:

@@ -40,6 +40,7 @@ from hypermis.sbl import SblConfig, run_sbl
 from single_round import ForcedMarks
 
 WIDE_N = 2 ** 20
+PAIR_N = 2 ** 40  # two ids need 82 key bits, so pair keys are ranked
 
 
 @st.composite
@@ -273,13 +274,64 @@ def test_holder_lists_match_brute_force(h, data):
         assert sorted(q[k == j].tolist()) == want
 
 
+@seed(1405_1411)
+@given(hypergraphs(ns=(PAIR_N,)), st.data())
+def test_pair_lists_match_brute_force(h, data):
+    # normalized rows of sizes 1-8 with ids below 2^40, so pair keys take
+    # lex_keys' rank path; the holders of columns a < b of a row are every
+    # row holding both their ids, the row itself included, each once
+    state = make_state(h, np.unique(h.arrays[0][h.arrays[0] > 0]))
+    mat, sizes = state.rows, state.built
+    wide = np.flatnonzero(sizes >= 2).tolist()
+    if not wide:
+        return
+    first, num, ptr, held = state._pair_lists
+    assert len(num) == sum(s * (s - 1) // 2 for s in sizes.tolist())  # flat per row
+    edges = [set(e) for e in ops.matrix_to_edges(mat, sizes)]
+    for i in data.draw(st.lists(st.sampled_from(wide), min_size=1, max_size=6)):
+        b = data.draw(st.integers(1, int(sizes[i]) - 1))
+        a = data.draw(st.integers(0, b - 1))
+        g = num[first[i] + b * (b - 1) // 2 + a]
+        want = [x for x, e in enumerate(edges) if {int(mat[i, a]), int(mat[i, b])} <= e]
+        assert sorted(held[ptr[g] : ptr[g + 1]].tolist()) == want
+
+
+@st.composite
+def rows_sharing_pairs(draw):
+    """Edges of 3-6 ids over a pool of 6-9 ids from 1..n, so that many
+    rows hold two ids of another row but not all of them."""
+    n = draw(st.sampled_from((300, PAIR_N)))
+    pool = draw(st.lists(st.integers(1, n), min_size=6, max_size=9, unique=True))
+    edge = st.lists(st.sampled_from(pool), min_size=3, max_size=6, unique=True)
+    return Hypergraph(n, draw(st.lists(edge, min_size=1, max_size=24)))
+
+
+@seed(1405_1413)
+@given(rows_sharing_pairs(), st.data())
+def test_pair_holding_matches_brute_force(h, data):
+    # the live rows other than a row that hold every id of a non-empty
+    # column mask of it: found through the incidence list of a mask's one
+    # id, else through the pair list of its first two ids, then checked
+    state = make_state(h, np.unique(h.arrays[0][h.arrays[0] > 0]))
+    rows = data.draw(st.lists(st.integers(0, state.m - 1), min_size=1, max_size=6, unique=True))
+    masks = [data.draw(st.integers(1, (1 << int(state.built[i])) - 1)) for i in rows]
+    masks = np.array(masks, dtype=np.int64)
+    k, q = state._holding(np.array(rows), masks, np.bitwise_count(masks))
+    edges = [set(e) for e in ops.matrix_to_edges(state.rows, state.built)]
+    for j, (i, u) in enumerate(zip(rows, masks.tolist())):
+        subset = {int(state.rows[i, c]) for c in range(state.built[i]) if u >> c & 1}
+        want = [x for x, e in enumerate(edges) if subset <= e and x != i]
+        assert sorted(set(q[k == j].tolist()) - {i}) == want
+        assert len(q[k == j]) == len(set(q[k == j].tolist()))
+
+
 @seed(1405_1219)
-@given(hypergraphs(), st.data())
+@given(hypergraphs(ns=(8, 300, 4096, WIDE_N, PAIR_N)), st.data())
 def test_cleanup_holders_match_with_or_without_counts(h, data):
     # a state that reads degrees finds the rows holding a changed row in
-    # its holder lists, one that reads none by counting shared ids; the
-    # same marks must leave both with the same normalized rows
-    used = np.unique(h.arrays[0][h.arrays[0] > 0])  # so n = 2^20 stays cheap
+    # its subset holder lists, one that reads none in its pair holder
+    # lists; the same marks must leave both with the same normalized rows
+    used = np.unique(h.arrays[0][h.arrays[0] > 0])  # so wide n stays cheap
     listed, counted = make_state(h, used), make_state(h, used)
     listed.degree_pair()
     for rnd in range(4):
@@ -317,3 +369,39 @@ def test_subset_counts_memory_is_flat_per_row():
     mat[2000:, 6:] = 0
     want = ops.max_norm_degree(mat, sizes, WIDE_N)
     assert counts.best(np.bincount(sizes, minlength=13)) == want
+
+
+def test_pair_lists_memory_is_flat_per_row():
+    # an outer sampling state numbers C(size, 2) pairs per row, so four
+    # 40-edges among 2000 2-edges cost their own 780 pairs each, not 780
+    # for every row, and no 2^40 subsets
+    gen = np.random.default_rng(1411)
+    ids = gen.choice(WIDE_N, size=4000 + 160, replace=False) + 1
+    edges = [tuple(e) for e in ids[:4000].reshape(2000, 2).tolist()]
+    edges += [tuple(e) for e in ids[4000:].reshape(4, 40).tolist()]
+    state = make_state(Hypergraph(WIDE_N, edges), np.sort(ids))
+    assert state.m == 2004
+    gone = np.sort(ids[[0, 4000, 4040, 4080, 4120]])  # from a 2-edge and each 40-edge
+    touched = np.flatnonzero(ops.member(state.rows, gone).any(axis=1))
+    tracemalloc.start()
+    try:
+        state.cleanup(gone, touched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.counts is None
+    assert len(state._pair_lists[1]) == 2000 + 4 * 780
+    assert peak < 2 * 2**20
+    assert state.m == 2004 and sorted(state.size[touched].tolist()) == [1, 39, 39, 39, 39]
+
+
+def test_late_pair_of_a_wide_row_finds_its_holders():
+    # 40-edge a = 101..140 and 38-edge b = 1..30 and 130..137; deleting
+    # 1..30 leaves b as 130..137, whose first two ids sit in columns 30
+    # and 31 of b as built, strictly inside a, so a leaves
+    a, b = tuple(range(101, 141)), (*range(1, 31), *range(130, 138))
+    state = make_state(Hypergraph(PAIR_N, [a, b]), [*range(1, 31), *range(101, 141)])
+    touched = np.flatnonzero(state.rows[:, 0] == 1)
+    state.cleanup(np.arange(1, 31), touched)
+    assert state.counts is None and state.m == 1
+    assert ops.matrix_to_edges(state.mat, state.sizes) == [tuple(range(130, 138))]
