@@ -258,10 +258,10 @@ class SubsetCounts:
     of which the runs of the proper non-empty u are used.  The table of
     each (s, t) in `tables`, number table_of[s, t], holds one count per
     t-subset, the number of counted rows of size s holding it; the tables
-    lie end to end in `count`, table i from starts[i].  top[i] is the
-    largest count of table i and total[i] the sum of its counts.  The
-    holder lists of :meth:`holders` invert the numbering; they are built
-    on first read, so a one-shot count lists no holders.
+    lie end to end in `count`, table i from starts[i]; every table is
+    non-empty, and :meth:`pairs` reads each table's largest count when it
+    is asked.  The holder lists of :meth:`holders` invert the numbering;
+    they are built on first read, so a one-shot count lists no holders.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
@@ -303,8 +303,6 @@ class SubsetCounts:
         for (s, t), block in blocks.items():
             lo = self.starts[self.table_of[s, t]]
             self.count[lo : lo + len(block)] = block
-        self.top = np.maximum.reduceat(self.count, self.starts[:-1])
-        self.total = np.add.reduceat(self.count, self.starts[:-1])
 
     @cached_property
     def _holder_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,20 +346,7 @@ class SubsetCounts:
         row = rows[which]
         table = self.table_of[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
         found = self.starts[table] + self.sub[self.first[row] + u * self.step[row]]
-        steps = np.where(which < len(old), -1, 1)
-        before = self.count[found]
-        np.add.at(self.count, found, steps)
-        np.add.at(self.total, table, steps)
-        after = self.count[found]
-        # a table's top fell only if a subset that stood at it went down;
-        # a top of 1 stays while the table counts anything
-        fell = table[(after < before) & (before == self.top[table])]
-        np.maximum.at(self.top, table, after)
-        for i in set(fell.tolist()):
-            if self.top[i] == 1:
-                self.top[i] = self.total[i] > 0
-            else:
-                self.top[i] = self.count[self.starts[i] : self.starts[i + 1]].max()
+        np.add.at(self.count, found, np.where(which < len(old), -1, 1))
 
     def pairs(self, nsize: np.ndarray) -> dict[int, tuple[int, int]]:
         """Best (count, j) pair of each edge size s >= 2 among the counted
@@ -370,7 +355,8 @@ class SubsetCounts:
         normalized degree of count^(1/j).  Among equal degrees the largest
         j wins."""
         by_size: dict[int, list[tuple[int, int]]] = {}
-        for (s, t), c in zip(self.tables, self.top.tolist()):
+        top = np.maximum.reduceat(self.count, self.starts[:-1]).tolist()
+        for (s, t), c in zip(self.tables, top):
             if nsize[s]:
                 by_size.setdefault(s, []).append((c, s - t))
         return {s: best_pair(p) for s, p in by_size.items()}

@@ -185,6 +185,8 @@ def _cmd_verify(args) -> int:
     _echo_config({"command": "verify", "input_n": h.n, "input_m": h.m, "mis_file": args.mis})
     with open(args.mis, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("mis"), list):
+        raise ValueError(f'{args.mis}: expected a JSON object whose "mis" is a list of ids')
     _check_ids(doc["mis"], h.n, "mis")
     mis = vertex_tuple(doc["mis"])
     indep = is_independent(h, mis)

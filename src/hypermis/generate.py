@@ -133,39 +133,30 @@ def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> np.ndarray:
     return rows[first[:m]]
 
 
-def _gen_mixed(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:
-    lo, hi = spec.dim_range
+def _place(m: int, draw, clash, failure: str) -> list[tuple[int, ...]]:
+    """Draw edges with `draw()` and keep each that does not `clash` with
+    an edge kept before, until m are kept; InfeasibleError(failure) once
+    the draws pass the attempt cap."""
     edges: list[tuple[int, ...]] = []
     attempts = 0
-    cap = _attempt_cap(spec.m)
-    while len(edges) < spec.m:
+    cap = _attempt_cap(m)
+    while len(edges) < m:
         if attempts > cap:
-            raise InfeasibleError(
-                f"could not place {spec.m} pairwise-incomparable edges"
-            )
+            raise InfeasibleError(failure)
         attempts += 1
-        size = stream.randint(lo, hi)
-        e = stream.sample_ids(spec.n, size)
-        if any(_comparable(e, other) for other in edges):
-            continue
-        edges.append(e)
+        e = draw()
+        if not any(clash(e, other) for other in edges):
+            edges.append(e)
     return edges
+
+
+def _gen_mixed(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:
+    lo, hi = spec.dim_range
+    return _place(spec.m, lambda: stream.sample_ids(spec.n, stream.randint(lo, hi)),
+                  _comparable, f"could not place {spec.m} pairwise-incomparable edges")
 
 
 def _gen_linear(spec: GenSpec, stream: rng.Stream) -> list[tuple[int, ...]]:
-    d = spec.dim
-    edges: list[tuple[int, ...]] = []
-    attempts = 0
-    cap = _attempt_cap(spec.m)
-    while len(edges) < spec.m:
-        if attempts > cap:
-            raise InfeasibleError(
-                f"linear constraint saturated before placing {spec.m} edges"
-            )
-        attempts += 1
-        e = stream.sample_ids(spec.n, d)
-        es = set(e)
-        if any(len(es & set(other)) > 1 for other in edges):
-            continue
-        edges.append(e)
-    return edges
+    return _place(spec.m, lambda: stream.sample_ids(spec.n, spec.dim),
+                  lambda e, other: len(set(e).intersection(other)) > 1,
+                  f"linear constraint saturated before placing {spec.m} edges")

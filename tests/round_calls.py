@@ -52,6 +52,7 @@ LAYERS = {
     ("bl.py", "_holding"): "State._holding",
     ("_edgeops.py", "holders"): "SubsetCounts.holders",
     ("_edgeops.py", "recount"): "SubsetCounts.recount",
+    ("_edgeops.py", "pairs"): "SubsetCounts.pairs",
     ("rng.py", "uniforms"): "rng.uniforms",
 }
 

@@ -137,6 +137,15 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "error:" in err and json.dumps(bad) in err
 
+    @pytest.mark.parametrize("doc", [[1, 3], {"mis": 5}])
+    def test_malformed_mis_file_fails(self, instance, tmp_path, capsys, doc):
+        # valid JSON, but not an object whose "mis" is a list
+        claim = tmp_path / "mis.json"
+        claim.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", str(instance), str(claim)], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("error: ") and '"mis" is a list' in err
+
     def test_bad_set_fails(self, instance, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mis": list(range(1, 10))}))
