@@ -11,11 +11,12 @@ columns of the row as built it still holds, to its new one;
 :func:`hypermis.core.degree_profile` and :func:`max_norm_degree` count
 from scratch), and its holder lists the solver's containment search.
 
-Subsets are matched by uint64 keys, one scheme at any edge width: ids
-are bit-packed while the key fits in 63 bits; before a column that would
-overflow it, the partial key is replaced by its dense rank among the rows
-keyed in the same call (one np.unique pass), so keys compare only within
-one call.  Up to 63 // bit_length(n) ids are packed, never ranked.
+Rows and subsets are matched by the int64 keys of :func:`lex_keys`, one
+scheme at any edge width and any n below 2^63: ids are bit-packed while
+the key fits in 63 bits, and ranks replace what does not fit, so keys
+are equal exactly when the rows are and ordered as the rows are, but
+compare only within one call.  Up to 63 // bit_length(n) ids are packed,
+never ranked.
 """
 
 from __future__ import annotations
@@ -126,14 +127,13 @@ def is_maximal_on(mat, sizes, s, vertices) -> bool:
     return bool((member(vertices, s) | member(vertices, blocked)).all())
 
 
-def dedupe_rows(mat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dedupe_rows(mat: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Remove duplicate edges (rows are sorted+padded, so row equality is
-    set equality).  Row order is not preserved; edge order never carries
-    meaning here."""
+    set equality); the rows left are in lexicographic order."""
     if mat.shape[0] <= 1:
         return mat, sizes
-    uniq, idx = np.unique(mat, axis=0, return_index=True)
-    return uniq, sizes[idx]
+    idx = np.unique(lex_keys(mat, n), return_index=True)[1]
+    return mat[idx], sizes[idx]
 
 
 @cache
@@ -150,40 +150,33 @@ def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
     return rows.T[_combos(rows.shape[1], t)].reshape(t, -1)
 
 
-def _row_keys(rows: np.ndarray, bits: int) -> np.ndarray:
-    """uint64 keys of the rows of a (k, t) id matrix, equal exactly when
-    the rows are equal.
-
-    Ids must lie below 2^bits, and k * 2^bits below 2^63.  Columns are
-    packed left to right while the key fits in 63 bits; before a column
-    c that would overflow it, the partial key (of the first c columns) is
-    replaced by its dense rank among the k rows, so keys are only
-    comparable within one call.
-    """
-    shift = np.uint64(bits)
-    key = rows[:, 0].astype(np.uint64)
-    used = bits
-    for c in range(1, rows.shape[1]):
-        if used + bits > 63:
-            uniq, key = np.unique(key, return_inverse=True)
-            key = key.astype(np.uint64)
-            used = max((len(uniq) - 1).bit_length(), 1)
-        key = (key << shift) | rows[:, c].astype(np.uint64)
-        used += bits
-    return key
+def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each entry of `x` among its distinct values; bits it needs."""
+    uniq, rank = np.unique(x, return_inverse=True)
+    return rank.reshape(-1), max((len(uniq) - 1).bit_length(), 1)
 
 
 def lex_keys(mat: np.ndarray, n: int) -> np.ndarray:
-    """Keys of the rows of a padded matrix of ids up to n, equal exactly
-    when the rows are and ordered as the rows are, lexicographically: the
-    ids packed in one int64 where they fit, else :func:`_row_keys` where
-    its ranks fit, else the ranks of the distinct rows."""
+    """int64 keys of the rows of a (k, w) matrix of ids up to n, equal
+    exactly when the rows are and ordered as the rows are, lexicographically.
+
+    Columns are packed left to right while the key fits in 63 bits; before
+    a column that would overflow it, the partial key is replaced by its
+    dense rank among the k rows, and if they still do not fit, the
+    column's ids by theirs too: ranks keep equality and order, and two
+    ranks below k < 2^31 always fit, but compare only within one call.
+    """
     bits = max(n.bit_length(), 1)
-    if mat.shape[1] * bits <= 63:
-        return mat @ (1 << bits * np.arange(mat.shape[1] - 1, -1, -1))
-    if bits + mat.shape[0].bit_length() <= 63:
-        return _row_keys(mat, bits)
-    return np.unique(mat, axis=0, return_inverse=True)[1].reshape(-1)
+    key, used = mat[:, 0], bits
+    for c in range(1, mat.shape[1]):
+        col, width = mat[:, c], bits
+        if used + width > 63:
+            key, used = _dense_rank(key)
+        if used + width > 63:
+            col, width = _dense_rank(col)
+        key = (key << width) | col
+        used += width
+    return key
 
 
 def prune_supersets(
@@ -200,7 +193,6 @@ def prune_supersets(
     present = np.flatnonzero(np.bincount(sizes)).tolist()
     if len(present) == 1:
         return mat, sizes  # equal sizes cannot nest strictly
-    bits = max(n.bit_length(), 1)
     idx = {s: np.flatnonzero(sizes == s) for s in present}
     rows = {s: mat[i, :s] for s, i in idx.items()}
     doomed = np.zeros(m, dtype=bool)
@@ -209,7 +201,7 @@ def prune_supersets(
         subsets = [_subsets(rows[s], t) for s in larger]
         # the size-t rows and the t-subsets of the larger rows are keyed
         # in one call so that their keys are comparable
-        keys = _row_keys(np.concatenate([rows[t].T, *subsets], axis=1).T, bits)
+        keys = lex_keys(np.concatenate([rows[t].T, *subsets], axis=1).T, n)
         k = len(idx[t])
         small = np.sort(keys[:k])
         pos = np.searchsorted(small, keys[k:]).clip(max=k - 1)
@@ -265,7 +257,6 @@ class SubsetCounts:
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
-        bits = max(n.bit_length(), 1)
         present = np.flatnonzero(np.bincount(sizes)).tolist()
         width = max(present, default=1)
         self.size = sizes
@@ -283,7 +274,7 @@ class SubsetCounts:
             larger = [s for s in present if s > t]
             subsets = [_subsets(mat[self.owners[s], :s], t) for s in larger]
             # keyed in one call, so that the ranks compare across sizes
-            keys = _row_keys(np.concatenate(subsets, axis=1).T, bits)
+            keys = lex_keys(np.concatenate(subsets, axis=1).T, n)
             keys, ids = np.unique(keys, return_inverse=True)
             nkeys.append(len(keys))
             cuts = np.cumsum([sub.shape[1] for sub in subsets])[:-1]

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 import numpy as np
@@ -103,16 +103,6 @@ class SolverResult:
 
     def trace_jsonl(self) -> str:
         return "".join(rec.to_json_line() + "\n" for rec in self.rounds)
-
-
-class KeyStream:
-    """Per-round coin source: uniform per vertex id under one stream key."""
-
-    def __init__(self, key: int):
-        self.key = key
-
-    def uniforms(self, ids: np.ndarray) -> np.ndarray:
-        return rng.uniforms(self.key, ids)
 
 
 class State:
@@ -321,7 +311,7 @@ def make_state(h: Hypergraph, vertex_set: Iterable[int] | None = None) -> State:
     if vertex_set is not None:
         inside = ops.rows_inside(mat, sizes, alive)
         mat, sizes = mat[inside], sizes[inside]
-    mat, sizes = ops.prune_supersets(*ops.dedupe_rows(mat, sizes), h.n)
+    mat, sizes = ops.prune_supersets(*ops.dedupe_rows(mat, sizes, h.n), h.n)
     return State(h.n, alive, mat, sizes)
 
 
@@ -336,11 +326,11 @@ def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
     return delta, 1.0 / (2 ** (d + 1) * delta)
 
 
-def _mark_round(state: State, p: float, stream, delta: float, rnd: int):
-    """One mark/unmark/cleanup round on `state`, in place.  Returns
-    (record, added)."""
+def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
+    """One mark/unmark/cleanup round on `state`, in place, with the coin
+    function `coins`, ids -> uniforms.  Returns (record, added)."""
     alive = state.alive
-    marked = alive[stream.uniforms(alive) < p]
+    marked = alive[coins(alive) < p]
     # one incidence gather: the fully marked rows, whose ids are unmarked,
     # and then the rows holding a vertex that stays marked, which the
     # cleanup shrinks
@@ -418,8 +408,8 @@ def run_bl(
             state.alive = state.alive[:0]
             break
         delta, p = _round_p(state, cfg, frozen)
-        stream = KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        rec, added = _mark_round(state, p, stream, delta, rnd)
+        coins = partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
+        rec, added = _mark_round(state, p, coins, delta, rnd)
         mis.extend(added.tolist())
         records.append(rec)
         rnd += 1

@@ -128,7 +128,7 @@ def normalize(h: Hypergraph) -> Hypergraph:
     """Collapse duplicate edges and drop every edge strictly containing
     another edge.  The vertex set is untouched; idempotent.
     """
-    return Hypergraph._from_rows(h.n, *ops.prune_supersets(*ops.dedupe_rows(*h.arrays), h.n))
+    return Hypergraph._from_rows(h.n, *ops.prune_supersets(*ops.dedupe_rows(*h.arrays, h.n), h.n))
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1

@@ -117,6 +117,13 @@ def edge_bound_beta(n: int) -> float | None:
     return log2_ / (8.0 * log3 * log3) if log3 > 0 else None
 
 
+def _finite_ceil(x: float, name: str, flag: str) -> int:
+    """ceil(x); a ValueError asking for the override `flag` if x is infinite."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} is not finite; supply {flag}")
+    return math.ceil(x)
+
+
 def derive_params(n: int, m: int, cfg: SblConfig) -> SblParams:
     """Resolve (p, d, stop_threshold) and evaluate the edge-count check.
 
@@ -125,7 +132,8 @@ def derive_params(n: int, m: int, cfg: SblConfig) -> SblParams:
     the edge bound asks m <= n^beta (:func:`edge_bound_beta`; always
     within when the bound is vacuous).  Raises DegenerateParamsError
     when a formula needs log2^(3) n > 0 (i.e. n >= 5) and no override
-    covers it.
+    covers it, and ValueError when p is so small that 1/p^2 is not finite
+    and no stop threshold is given.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -156,7 +164,8 @@ def derive_params(n: int, m: int, cfg: SblConfig) -> SblParams:
 
     stop = cfg.stop_threshold_override
     if stop is None:
-        stop = math.ceil(1.0 / (p * p))
+        stop = _finite_ceil(1.0 / (p * p) if p * p else math.inf,
+                            f"stop threshold ceil(1/p^2) at p={p}", "--stop-threshold")
 
     beta = edge_bound_beta(n)
     within = beta is None or m <= float(n) ** beta
@@ -304,8 +313,10 @@ EXIT_INNER_ROUND_LIMIT = "inner-round-limit"
 
 
 def default_max_rounds(n: int, p: float) -> int:
-    """Sampling-round cap: ceil(2 log2(n) / p), at least 1."""
-    return max(1, math.ceil(2.0 * math.log2(n) / p))
+    """Sampling-round cap: ceil(2 log2(n) / p), at least 1; ValueError
+    when it is not finite."""
+    cap = 2.0 * math.log2(n) / p
+    return max(1, _finite_ceil(cap, f"round cap ceil(2 log2(n) / p) at p={p}", "--max-rounds"))
 
 
 def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:

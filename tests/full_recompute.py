@@ -10,6 +10,8 @@ JSON lines compare byte for byte.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from hypermis import _edgeops as ops
@@ -19,7 +21,6 @@ from hypermis.bl import (
     STATUS_OK,
     BlConfig,
     BlRoundRecord,
-    KeyStream,
     SolverResult,
     default_max_rounds,
     make_state,
@@ -54,13 +55,14 @@ def shrink(n, mat, sizes, gone):
     new_mat, new_sizes = ops.remove_vertices(mat, sizes, gone[mat])
     assert (new_sizes >= 1).all(), "edge shrank to empty"
     shrunk = int((new_sizes < sizes).sum())
-    new_mat, new_sizes = ops.dedupe_rows(new_mat, new_sizes)
+    new_mat, new_sizes = ops.dedupe_rows(new_mat, new_sizes, n)
     return (*ops.prune_supersets(new_mat, new_sizes, n), shrunk)
 
 
-def mark_round(n, alive, mat, sizes, p, stream, delta, rnd):
-    """One marking round.  Returns (alive, mat, sizes, record, added)."""
-    marked = alive[stream.uniforms(alive) < p]
+def mark_round(n, alive, mat, sizes, p, coins, delta, rnd):
+    """One marking round with the coin function `coins`, ids -> uniforms.
+    Returns (alive, mat, sizes, record, added)."""
+    marked = alive[coins(alive) < p]
     flags = np.zeros(n + 1, dtype=bool)
     flags[marked] = True
     hits = flags[mat] & ops.valid_mask(mat, sizes)
@@ -102,8 +104,8 @@ def run_bl(n, alive, mat, sizes, cfg: BlConfig) -> SolverResult:
             alive = alive[:0]
             break
         delta, p = round_p(n, mat, sizes, cfg, frozen)
-        stream = KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        alive, mat, sizes, rec, added = mark_round(n, alive, mat, sizes, p, stream, delta, rnd)
+        coins = partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
+        alive, mat, sizes, rec, added = mark_round(n, alive, mat, sizes, p, coins, delta, rnd)
         mis.extend(added.tolist())
         records.append(rec)
         rnd += 1

@@ -1,4 +1,4 @@
-"""One marking round on a Hypergraph, and a coin source that marks given
+"""One marking round on a Hypergraph, and a coin function that marks given
 ids: the tests' handles on single rounds of :mod:`hypermis.bl`.
 
 ``bl_round`` runs one round of the solver's own round code on a fresh
@@ -18,19 +18,19 @@ from hypermis.core import Hypergraph
 
 
 class ForcedMarks:
-    """Marks exactly the given ids (uniform 0 vs 1)."""
+    """Coin function that marks exactly the given ids (uniform 0 vs 1)."""
 
     def __init__(self, marked: Iterable[int]):
         self.marked = set(marked)
 
-    def uniforms(self, ids: np.ndarray) -> np.ndarray:
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
         return np.array([0.0 if int(v) in self.marked else 1.0 for v in ids])
 
 
 def bl_round(
     h: Hypergraph,
     p: float,
-    stream,
+    coins,
     vertex_set: Iterable[int] | None = None,
 ) -> tuple[tuple[int, ...], Hypergraph, tuple[int, ...], BlRoundRecord]:
     """Run a single round on `h` restricted to `vertex_set`, normalized
@@ -42,6 +42,6 @@ def bl_round(
     victims leave it.
     """
     state = make_state(h, vertex_set)
-    rec, added = _mark_round(state, p, stream, ops.degree_value(state.degree_pair()), 0)
+    rec, added = _mark_round(state, p, coins, ops.degree_value(state.degree_pair()), 0)
     next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
     return tuple(added.tolist()), next_h, tuple(state.alive.tolist()), rec

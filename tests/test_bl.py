@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypermis.bl import (
     STATUS_OK,
     STATUS_ROUND_LIMIT,
     BlConfig,
-    KeyStream,
     State,
     _mark_round,
     make_state,
@@ -65,7 +65,7 @@ class TestBlRound:
         for h in instance_stream(15):
             hn = normalize(h)
             key = rng.derive_key(5, h.n, h.m)
-            _, _, _, rec = bl_round(hn, 0.4, KeyStream(key))
+            _, _, _, rec = bl_round(hn, 0.4, partial(rng.uniforms, key))
             assert set(rec.added) == set(rec.marked) - set(rec.unmarked)
 
     def test_matches_pure_set_reference(self):
@@ -108,10 +108,10 @@ class TestBlRound:
         state = make_state(h)
         alive, mat, sizes = full.normalized(h)
         delta = ops.degree_value(state.degree_pair())
-        stream = ForcedMarks([5, 6])
-        rec, added = _mark_round(state, 0.5, stream, delta, 0)
+        coins = ForcedMarks([5, 6])
+        rec, added = _mark_round(state, 0.5, coins, delta, 0)
         alive, mat, sizes, want, want_added = full.mark_round(
-            h.n, alive, mat, sizes, 0.5, stream, delta, 0)
+            h.n, alive, mat, sizes, 0.5, coins, delta, 0)
         assert rec.to_json_line() == want.to_json_line()
         assert added.tolist() == want_added.tolist() == [5, 6]
         assert state.alive.tolist() == alive.tolist() == ([2, 3, 4] if singleton else [1, 2, 3, 4])
@@ -201,8 +201,8 @@ class TestRunBl:
             if rec.p_used == 1.0 and rec.delta == 0.0:
                 assert cur.m == 0  # shortcut round
                 break
-            stream = KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rec.round))
-            added, cur, alive, rec2 = bl_round(cur, rec.p_used, stream, vertex_set=alive)
+            coins = partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rec.round))
+            added, cur, alive, rec2 = bl_round(cur, rec.p_used, coins, vertex_set=alive)
             assert rec2.marked == rec.marked
             assert rec2.added == rec.added
             assert rec2.remaining_vertices == rec.remaining_vertices
@@ -225,9 +225,9 @@ class TestRunBl:
             for rec in res.rounds:
                 if rec.p_used == 1.0 and rec.delta == 0.0:
                     break  # shortcut round deletes nobody
-                stream = KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rec.round))
+                coins = partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rec.round))
                 prev_alive = set(alive)
-                added, cur, alive, _ = bl_round(cur, rec.p_used, stream, vertex_set=alive)
+                added, cur, alive, _ = bl_round(cur, rec.p_used, coins, vertex_set=alive)
                 committed |= set(added)
                 victims = prev_alive - set(added) - set(alive)
                 for v in victims:

@@ -55,6 +55,22 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err.startswith("error: p_override must lie in (0, 1")
 
+    @pytest.mark.parametrize(
+        "flags, override",
+        [
+            (["--p", "1e-300"], "--stop-threshold"),
+            (["--p", "1e-160"], "--stop-threshold"),
+            (["--p", "5e-324", "--stop-threshold", "3"], "--max-rounds"),
+        ],
+    )
+    def test_tiny_sbl_p_is_exit_1(self, instance, capsys, flags, override):
+        code, out, err = run_cli(
+            ["solve", str(instance), "--algo", "sbl", "--seed", "5", "--d-cap", "2", *flags],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"supply {override}" in err
+
     def test_all_algos_verify(self, instance, tmp_path, capsys):
         for algo in ("greedy", "bl", "sbl"):
             code, out, err = run_cli(

@@ -1,9 +1,12 @@
 """Property tests of the matrix kernels, and of the hypergraph queries
 that run on them, against the naive oracles of conftest.
 
-Ids are drawn up to 2^20 (21 key bits) and edges up to dimension 8, so
+Edges run up to dimension 8 and ids mostly up to 2^20 (21 key bits), so
 cases fall on both sides of 63 // bit_length(n) ids per key, where the
-subset keys stop being pure bit-packing and partial keys get ranked.
+row keys stop being pure bit-packing and partial keys get ranked; the
+key, normalize and degree tests also draw ids up to 2^62 and 2^63 - 1,
+where a ranked partial key and one more id no longer fit in 63 bits and
+the id columns get ranked too.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from conftest import (
@@ -41,6 +44,7 @@ from single_round import ForcedMarks
 
 WIDE_N = 2 ** 20
 PAIR_N = 2 ** 40  # two ids need 82 key bits, so pair keys are ranked
+TOP_NS = (2 ** 62, 2 ** 63 - 1)  # a rank of the first id and the second exceed 63 bits
 
 
 @st.composite
@@ -85,13 +89,21 @@ def oracle_delta(h: Hypergraph) -> float:
 
 
 @seed(1405_1133)
-@given(hypergraphs())
+@given(hypergraphs(ns=(8, 300, 4096, WIDE_N, *TOP_NS)))
+# with 63-bit ids the key of a 2-subset of the 4-edge must differ from
+# {3, 4}'s; at n = 2^50 the ranks of the pairs' first ids take 14 bits
+# and their second ids 51 more
+@example(Hypergraph(2 ** 62, [(1, 2, 4, 5), (3, 4)]))
+@example(
+    Hypergraph(2 ** 50, [(i, 2 ** 49) for i in range(1, 8193)] + [(8193, 2 ** 49, 2 ** 49 + 1)])
+)
 def test_prune_supersets_matches_normalize(h):
     assert normalize(h) == naive_normalize(h)
 
 
 @seed(1405_1133)
-@given(hypergraphs())
+@given(hypergraphs(ns=(8, 300, 4096, WIDE_N, *TOP_NS)))
+@example(Hypergraph(2 ** 62, [(1, 2, 3, 4)]))  # one edge: delta 1
 def test_max_norm_degree_matches_naive_profile(h):
     hn = normalize(h)
     assert kernel_delta(hn) == pytest.approx(oracle_delta(hn), rel=1e-12)
@@ -99,20 +111,32 @@ def test_max_norm_degree_matches_naive_profile(h):
 
 @seed(1405_1133)
 @given(
-    st.integers(1, 8).flatmap(
-        lambda t: st.lists(
-            st.lists(st.integers(0, WIDE_N), min_size=t, max_size=t), min_size=1, max_size=40
+    st.sampled_from((WIDE_N, PAIR_N, *TOP_NS)).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, 8).flatmap(
+                lambda t: st.lists(
+                    st.lists(st.integers(0, n) | st.integers(n - 3, n), min_size=t, max_size=t),
+                    min_size=1,
+                    max_size=40,
+                )
+            ),
         )
     ),
     st.integers(0, 3),
 )
-def test_row_keys_equal_exactly_when_rows_equal(rows, repeats):
-    # repeated rows make ties inside the ranking pass
+def test_row_keys_equal_exactly_when_rows_equal(case, repeats):
+    # repeated rows and ids near n make ties inside the ranking passes;
+    # keys compare as the rows do, lexicographically
+    n, rows = case
     mat = np.array(rows + rows[:repeats], dtype=np.int64)
-    keys = ops._row_keys(mat, WIDE_N.bit_length())
+    keys = ops.lex_keys(mat, n)
     same_key = keys[:, None] == keys[None, :]
     same_row = (mat[:, None, :] == mat[None, :, :]).all(axis=2)
     assert (same_key == same_row).all()
+    ordered = [tuple(r) for r in mat.tolist()]
+    less_row = np.array([[a < b for b in ordered] for a in ordered])
+    assert ((keys[:, None] < keys[None, :]) == less_row).all()
 
 
 def test_ranked_keys_at_dim_5_and_n_2_20():

@@ -9,6 +9,8 @@ cases fall on both sides of 63 // bit_length(n) ids per subset key.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from hypothesis import given, seed
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import full_recompute as full
 from hypermis import _edgeops as ops
 from hypermis import bl, rng
-from hypermis.bl import P_MODE_FIXED, P_MODE_RECOMPUTE, BlConfig, KeyStream, make_state
+from hypermis.bl import P_MODE_FIXED, P_MODE_RECOMPUTE, BlConfig, make_state
 from hypermis.core import Hypergraph
 from hypermis.sbl import SblConfig, sbl_round
 from single_round import ForcedMarks
@@ -67,7 +69,7 @@ def assert_same(state, alive, mat, sizes, reads_degrees=True):
 
 def compare_bl_rounds(h, cfg, marks, vertex_set=None):
     """Run marking rounds on the incremental state and on the oracle;
-    `marks(rnd, alive)` gives a coin source, None for the solver's own."""
+    `marks(rnd, alive)` gives a coin function, None for the solver's own."""
     state = make_state(h, vertex_set)
     alive, mat, sizes = full.normalized(h, vertex_set)
     frozen = None
@@ -80,11 +82,11 @@ def compare_bl_rounds(h, cfg, marks, vertex_set=None):
             break
         delta, p = bl._round_p(state, cfg, frozen)
         assert (delta, p) == full.round_p(h.n, mat, sizes, cfg, frozen)
-        stream = marks(rnd, state.alive)
-        stream = stream or KeyStream(rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        rec, added = bl._mark_round(state, p, stream, delta, rnd)
+        coins = marks(rnd, state.alive)
+        coins = coins or partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
+        rec, added = bl._mark_round(state, p, coins, delta, rnd)
         alive, mat, sizes, want, want_added = full.mark_round(
-            h.n, alive, mat, sizes, p, stream, delta, rnd)
+            h.n, alive, mat, sizes, p, coins, delta, rnd)
         assert rec.to_json_line() == want.to_json_line()
         assert added.tolist() == want_added.tolist()
     assert_same(state, alive, mat, sizes)

@@ -79,6 +79,15 @@ class TestDeriveParams:
         )
         assert params.p == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-160])
+    def test_tiny_p_asks_for_a_stop_threshold(self, p):
+        # 1/p^2 divides by an underflowed 0.0, or overflows to inf
+        cfg = SblConfig(seed=0, p_override=p, d_cap_override=3)
+        with pytest.raises(ValueError, match="supply --stop-threshold"):
+            derive_params(100, 0, cfg)
+        cfg = SblConfig(seed=0, p_override=p, d_cap_override=3, stop_threshold_override=3)
+        assert derive_params(100, 0, cfg).stop_threshold == 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SblConfig(seed=0, d_cap_override=1)
@@ -230,6 +239,12 @@ class TestRunSbl:
         # ceil(2 * log2(1024) / 0.3) = ceil(66.67)
         assert default_max_rounds(1024, 0.3) == 67
         assert default_max_rounds(2, 0.999) == 3
+        with pytest.raises(ValueError, match="supply --max-rounds"):
+            default_max_rounds(1024, 5e-324)
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
+        cfg = SblConfig(seed=9, p_override=5e-324, d_cap_override=3, stop_threshold_override=3)
+        with pytest.raises(ValueError, match="supply --max-rounds"):
+            run_sbl(h, cfg)
 
     def test_max_rounds_cap_recorded(self):
         h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))

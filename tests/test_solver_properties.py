@@ -1,6 +1,7 @@
 """Property tests of the solvers against plain-set transcriptions and the
 naive maximality oracle, on random hypergraphs with n <= 12, and on
-instances with ids up to 2^20 checked after relabelling them to 1..k.
+instances with ids up to 2^20 (and one at 2^62) checked after
+relabelling them to 1..k.
 
 Edges may repeat, nest and be singletons; the solvers normalize them.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from conftest import naive_is_maximal
@@ -150,6 +151,10 @@ def wide_instances(draw):
 
 @seed(1405_1133)
 @given(wide_instances(), st.integers(0, 10**6), st.sampled_from([None, 0.2, 0.5]), st.booleans())
+# at n = 2^62 normalizing must keep {3, 9, 10}, which holds neither 2-edge
+@example(
+    (Hypergraph(2**62, [(1, 9), (2, 9), (3, 9, 10)]), [1, 2, 3, 9, 10], set()), 1, None, False
+)
 def test_run_bl_on_wide_ids(inst, solver_seed, p, fixed):
     h, vertex_set, isolated = inst
     cfg = BlConfig(seed=solver_seed, p_mode="fixed" if fixed else "recompute", p_override=p)
