@@ -96,6 +96,13 @@ def member(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return ids[np.minimum(pos, len(ids) - 1, out=pos)] == x
 
 
+def flags(size: int, at: np.ndarray) -> np.ndarray:
+    """Bool array of `size` entries, True exactly at the indices `at`."""
+    out = np.zeros(size, dtype=bool)
+    out[at] = True
+    return out
+
+
 def without(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sorted array `a` without the entries of `b`, all found in `a`."""
     keep = np.ones(len(a), dtype=bool)
@@ -119,7 +126,7 @@ def rows_inside(mat: np.ndarray, sizes: np.ndarray, ids: np.ndarray) -> np.ndarr
 def is_maximal_on(mat, sizes, s, vertices) -> bool:
     """True iff no row lies inside the sorted ids `s` and each id of
     `vertices` is in s or blocked, the one id of some row outside s."""
-    outside = valid_mask(mat, sizes) & ~member(mat, s)
+    outside = valid_mask(mat, sizes) & ~np.isin(mat, s)
     left = outside.sum(axis=1)
     if not left.all():
         return False

@@ -26,8 +26,12 @@ the committed vertices in just the rows holding one and drops the live
 rows holding a changed row (from subset holder lists, or pair holder
 lists in a state that reads no degree), and delta is read from
 subset-count tables moved with those rows' masks (reused as is after a
-round that changed none).  A round whose marks lie in no row, with no
-singleton edge left, changes only the vertex set.  The sampling solver
+round that changed none).  Membership tests in a round are lookups, not
+binary searches: the state numbers the vertex of each entry of its rows,
+so the cleanup finds the committed ids of the rows it touches by reading
+a flag per vertex number, and a test of rows against rows reads a flag
+per row.  A round whose marks lie in no row, with no singleton edge
+left, changes only the vertex set.  The sampling solver
 runs its rounds on the same state, which numbers only the pairs of its
 rows, however wide, and its inner marking runs on the induced rows,
 compacted.  A run on a Hypergraph checks its result once, against the
@@ -117,7 +121,10 @@ class State:
     counts those of size s.  `alive` lists the undecided vertices, sorted.
 
     The rows holding id verts[k] (the vertices at construction) are
-    inc[ptr[k]:ptr[k + 1]].  An id leaves a row only when it leaves
+    inc[ptr[k]:ptr[k + 1]], and num[i, c] = k + 1 numbers the id in
+    column c of row i as built (0 on padding; built on first use from the
+    same sort), so an id test on rows is a gather from a flag array over
+    vertex numbers, never a search.  An id leaves a row only when it leaves
     `alive`, and a live row holds only alive ids, so for alive ids the
     live rows among those holding all of them as built are exactly the
     live rows holding them now.
@@ -145,7 +152,7 @@ class State:
         self.m = len(sizes)
         self.nsize = np.bincount(sizes, minlength=mat.shape[1] + 1)
         ids = mat[ops.valid_mask(mat, sizes)]
-        order = np.argsort(ids)
+        self._order = order = np.argsort(ids)
         self.verts = alive
         self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
         self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
@@ -186,9 +193,22 @@ class State:
             self._pair_stale = False
         return self._pair
 
+    @cached_property
+    def num(self) -> np.ndarray:
+        """Vertex numbers of the entries of `rows` (see the class docstring)."""
+        num = np.zeros(self.rows.shape, dtype=np.intp)
+        at = np.empty(len(self._order), dtype=np.intp)
+        at[self._order] = np.repeat(np.arange(1, len(self.verts) + 1), np.diff(self.ptr))
+        num[ops.valid_mask(self.rows, self.built)] = at
+        return num
+
     def incidences(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, row) for every live row holding ids[k]; ids must be alive."""
-        k, rows = ops.csr_gather(self.ptr, self.inc, self.verts.searchsorted(ids))
+        return self._incident(self.verts.searchsorted(ids))
+
+    def _incident(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, row) for every live row holding the alive id verts[pos[k]]."""
+        k, rows = ops.csr_gather(self.ptr, self.inc, pos)
         live = self.size[rows] > 0
         return k[live], rows[live]
 
@@ -232,7 +252,7 @@ class State:
         row touched[k]: the rows holding its one id, else those other than
         it that held its first two as built and hold the rest."""
         one, two = np.flatnonzero(size == 1), np.flatnonzero(size > 1)
-        k1, q1 = self.incidences(self.rows[touched[one], np.bitwise_count(cols[one] - 1)])
+        k1, q1 = self._incident(self.num[touched[one], np.bitwise_count(cols[one] - 1)] - 1)
         c = cols[two]  # a, b: the columns of its lowest set bit and of the next
         a, b = (np.bitwise_count((x & -x) - 1).astype(np.intp) for x in (c, c & (c - 1)))
         first, num, ptr, held = self._pair_lists
@@ -266,8 +286,10 @@ class State:
         """
         if not len(touched):
             return touched, touched
-        rows, old, old_size = self.rows[touched], self.cols[touched], self.size[touched]
-        cols = old & ~(ops.member(rows, gone) @ self.bit)
+        old, old_size = self.cols[touched], self.size[touched]
+        # flags over vertex numbers; padding reads number 0, never flagged
+        hit = ops.flags(len(self.verts) + 1, self.verts.searchsorted(gone) + 1)
+        cols = old & ~(hit[self.num[touched]] @ self.bit)
         size = np.bitwise_count(cols)
         if not (size.all() and (size < old_size).all()):
             raise InternalInvariantError("edge shrank to empty or lost no id in a cleanup")
@@ -281,7 +303,7 @@ class State:
         # q leaves if it holds r strictly, or equals r and comes after it
         held, t = self.size[q], size[k]
         doomed = ops.distinct(q[(held > t) | ((held == t) & (q > touched[k]))])
-        lost = doomed[~ops.member(doomed, touched)]  # unchanged rows that leave
+        lost = doomed[~ops.flags(len(self.size), touched)[doomed]]  # unchanged rows that leave
         moved = np.concatenate([touched, lost])
         old = np.concatenate([old, self.cols[lost]])
         old_size = np.concatenate([old_size, self.size[lost]])
@@ -337,8 +359,7 @@ def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
     k, rows = state.incidences(marked)
     unmarked, added, gone = marked[:0], marked, marked
     if len(rows) or state.nsize[1]:  # else no row changes
-        vetoed = np.zeros(len(marked), dtype=bool)
-        vetoed[k[ops.member(rows, state.full(rows))]] = True
+        vetoed = ops.flags(len(marked), k[ops.flags(len(state.size), state.full(rows))[rows]])
         unmarked, added = marked[vetoed], marked[~vetoed]
         _, kept = state.cleanup(added, ops.distinct(rows[~vetoed[k]]))
         single = kept[state.size[kept] == 1]

@@ -121,7 +121,7 @@ def _solve_config(args, h: Hypergraph) -> dict:
             max_rounds=max_rounds, retries=scfg.max_retries_per_round,
             fail_policy=scfg.fail_policy,
             within_edge_bound=params.within_edge_bound,
-            d_suggested_by_analysis=d_analysis,
+            d_suggested_by_analysis=d_analysis if math.isfinite(d_analysis) else None,
         )
     return cfg
 

@@ -237,13 +237,15 @@ def sbl_round(
     """One sample → gate → mark → filter round on `state`, as built by
     :func:`hypermis.bl.make_state` or returned by the previous round.
 
-    Returns (blue, red, next_state, next_vertex_set, record), next_state
-    being `state` updated in place; when every allowed resample trips the
-    dimension gate, returns (None, None, state, vertex_set, record) and
-    the caller applies cfg.fail_policy.  The failed path leaves the state
-    untouched.  Raises RoundLimitError when the inner marking run hits its
-    round cap.  The inner run's result is checked for maximality on the
-    induced rows only under cfg.check_invariants.
+    Returns (blue, red, next_state, next_alive, record): blue the sorted
+    tuple of the sample's blue ids, red the sorted array of its red ones,
+    next_state `state` updated in place and next_alive its sorted array
+    of alive ids; when every allowed resample trips the dimension gate,
+    returns (None, None, state, alive, record), alive the ids the round
+    began with, and the caller applies cfg.fail_policy.  The failed path
+    leaves the state untouched.  Raises RoundLimitError when the inner
+    marking run hits its round cap.  The inner run's result is checked for
+    maximality on the induced rows only under cfg.check_invariants.
     """
     alive = state.alive
     sample = sampler or _default_sampler(cfg, p, round_index)
@@ -269,7 +271,7 @@ def sbl_round(
         remaining_edges=state.m,
     )
     if induced_dim > d:
-        return None, None, state, tuple(alive.tolist()), rec
+        return None, None, state, alive, rec
 
     # the induced rows are normalized already: compacted, they become the
     # inner state as they are
@@ -283,7 +285,7 @@ def sbl_round(
     blue = np.array(bl_res.mis, dtype=np.int64)
     if cfg.check_invariants and not ops.is_maximal_on(mat, sizes, blue, sampled):
         raise InternalInvariantError("marking solver produced a non-maximal set")
-    is_blue = ops.member(sampled, blue)
+    is_blue = ops.flags(len(sampled), sampled.searchsorted(blue))
     red = sampled[~is_blue]
 
     # an edge touching a red vertex can never become fully blue; the
@@ -302,7 +304,7 @@ def sbl_round(
     rec.edges_shrunk = len(shrunk)
     rec.remaining_vertices = len(state.alive)
     rec.remaining_edges = state.m
-    return bl_res.mis, tuple(red.tolist()), state, tuple(state.alive.tolist()), rec
+    return bl_res.mis, red, state, state.alive, rec
 
 
 EXIT_STOP_THRESHOLD = "stop-threshold"

@@ -17,8 +17,9 @@ calls per round is the profile's total ``ncalls`` (primitive and
 recursive) over all rounds.  Two lines split the round by layer, from
 the same profile: ``self_ms_per_round`` is the own time (``tottime``)
 and ``cum_ms_per_round`` the time with callees (``cumtime``) of the
-methods in ``LAYERS`` and ``rng.uniforms`` (the benchmark's tracer
-wraps module functions only, so it cannot time these).  Own time holds
+methods in ``LAYERS``, of ``rng.uniforms`` and of the final check's
+``is_maximal_on`` (the benchmark's tracer wraps module functions only,
+so it cannot time the methods).  Own time holds
 the function's bytecode and the numpy operators and ufuncs it applies,
 not the functions and methods it calls; both include profiler overhead,
 so they compare only with another profiled run.  A sampling run also
@@ -53,6 +54,7 @@ LAYERS = {
     ("_edgeops.py", "holders"): "SubsetCounts.holders",
     ("_edgeops.py", "recount"): "SubsetCounts.recount",
     ("_edgeops.py", "pairs"): "SubsetCounts.pairs",
+    ("_edgeops.py", "is_maximal_on"): "is_maximal_on",
     ("rng.py", "uniforms"): "rng.uniforms",
 }
 

@@ -113,6 +113,20 @@ class TestSolve:
         assert cfg["p"] == 0.3 and cfg["d_cap"] == 2
         assert "stop_threshold" in cfg and "within_edge_bound" in cfg
 
+    def test_config_echo_is_strict_json_at_tiny_p(self, instance, capsys):
+        # 2 log2(n) / p and 1 / p overflow to inf, and their ratio is NaN
+        code, _, err = run_cli(
+            ["solve", str(instance), "--algo", "sbl", "--seed", "5", "--d-cap", "2",
+             "--p", "5e-324", "--stop-threshold", "3", "--max-rounds", "2"],
+            capsys,
+        )
+
+        def reject(name):
+            raise ValueError(f"config line holds {name}")
+
+        cfg = json.loads(err.splitlines()[0].removeprefix("config: "), parse_constant=reject)
+        assert code == 0 and cfg["d_suggested_by_analysis"] is None
+
     @pytest.mark.parametrize("n, m", [(3, 2), (300, 600)])
     def test_edge_bound_warning_agrees_with_config(self, n, m, tmp_path, capsys):
         # n = 3 lies below the asymptotic regime, where the bound says

@@ -14,6 +14,7 @@ from __future__ import annotations
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     naive_normalize,
 )
 from hypermis import _edgeops as ops
+from hypermis import sbl
 from hypermis.bl import BlConfig, _mark_round, make_state, run_bl
 from hypermis.core import (
     Hypergraph,
@@ -39,7 +41,7 @@ from hypermis.core import (
     neighborhood,
     normalize,
 )
-from hypermis.sbl import SblConfig, run_sbl
+from hypermis.sbl import SblConfig, run_sbl, sbl_round
 from single_round import ForcedMarks
 
 WIDE_N = 2 ** 20
@@ -370,6 +372,38 @@ def test_cleanup_holders_match_with_or_without_counts(h, data):
         assert np.array_equal(counted.alive, listed.alive)
         now = Hypergraph(h.n, ops.matrix_to_edges(listed.mat, listed.sizes))
         assert normalize(now) == now
+
+
+def assert_numbered(state):
+    # num[i, c] is 1 + the position in verts of the id in column c of row
+    # i as built, and 0 on padding
+    valid = ops.valid_mask(state.rows, state.built)
+    assert state.num.tolist() == np.where(valid, state.verts.searchsorted(state.rows) + 1, 0).tolist()
+    assert np.array_equal(state.verts[state.num[valid] - 1], state.rows[valid])
+
+
+@seed(1405_1017)
+@given(hypergraphs(ns=(8, 300, 4096, WIDE_N, *TOP_NS)), st.data())
+def test_vertex_numbers_are_positions_in_verts(h, data):
+    # on states from make_state, with and without a vertex set (all of
+    # 1..n only at small n), and on the inner states of sampling rounds
+    used = np.unique(h.arrays[0][h.arrays[0] > 0]).tolist()
+    parts = st.sets(st.sampled_from(used), min_size=1).map(sorted)
+    vertex_set = data.draw(st.sampled_from([None, used] if h.n <= 4096 else [used]) | parts)
+    state = make_state(h, vertex_set)
+    inner = []
+
+    def run_inner(s, cfg):
+        assert_numbered(s)
+        inner.append(s)
+        return run_bl(s, cfg)
+
+    cfg = SblConfig(seed=data.draw(st.integers(0, 99)), p_override=0.5, d_cap_override=8)
+    with mock.patch.object(sbl, "run_bl", run_inner):
+        for rnd in range(3):
+            sbl_round(state, 0.5, 8, cfg, rnd)
+    assert_numbered(state)
+    assert len(inner) == 3
 
 
 def test_subset_counts_memory_is_flat_per_row():

@@ -110,8 +110,8 @@ class TestSblRound:
         blue, red, nxt, alive, rec = sbl_round(
             make_state(H0), 0.5, 3, cfg, 0, sampler=force([3, 4])
         )
-        assert set(blue) | set(red) == {3, 4}
-        assert alive == (1, 2, 5)
+        assert set(blue) | set(red.tolist()) == {3, 4}
+        assert tuple(alive.tolist()) == (1, 2, 5)
         if blue == (4,):
             assert set(edges_of(nxt)) == {(5,)}
             assert rec.edges_removed_red == 2 and rec.edges_shrunk == 1
@@ -133,8 +133,8 @@ class TestSblRound:
         blue, red, nxt, alive, rec = sbl_round(
             make_state(H0), 0.5, 3, cfg, 0, sampler=force([])
         )
-        assert blue == () and red == ()
-        assert edges_of(nxt) == list(H0.edges) and alive == (1, 2, 3, 4, 5)
+        assert blue == () and tuple(red.tolist()) == ()
+        assert edges_of(nxt) == list(H0.edges) and tuple(alive.tolist()) == (1, 2, 3, 4, 5)
 
     def test_gate_failure_is_noop(self):
         # a sampled 3-edge with cap d=2 trips the gate every retry
@@ -145,7 +145,7 @@ class TestSblRound:
         )
         assert blue is None and red is None
         assert nxt is state and edges_of(nxt) == list(H0.edges)
-        assert alive == (1, 2, 3, 4, 5)
+        assert tuple(alive.tolist()) == (1, 2, 3, 4, 5)
         assert rec.retries == 3 and rec.bl_summary is None
         assert rec.induced_dim == 3
 

@@ -1,7 +1,8 @@
 """Property tests of the solvers against plain-set transcriptions and the
 naive maximality oracle, on random hypergraphs with n <= 12, and on
 instances with ids up to 2^20 (and one at 2^62) checked after
-relabelling them to 1..k.
+relabelling them to 1..k; the maximality check also on ids spread up to
+2^63 - 1.
 
 Edges may repeat, nest and be singletons; the solvers normalize them.
 """
@@ -71,11 +72,12 @@ def test_sbl_round_matches_set_transcription(h, d, data):
         ref = reference_round(h.n, edges, alive, sample, d, blues)
         if ref is None:
             assert blue is None and red is None and rec.retries == 1
-            assert next_alive == alive
+            assert tuple(next_alive.tolist()) == alive
             assert sorted(ops.matrix_to_edges(state.mat, state.sizes)) == edges
             return
         # blue is a maximal independent set of the hypergraph induced on
         # the sample, and red is the rest of the sample
+        red = tuple(red.tolist())
         assert set(red) == sample - blues and not blues & set(red)
         assert not any(set(e) <= blues for e in ref["induced"])
         assert all(any(v in e and set(e) - {v} <= blues for e in ref["induced"]) for v in red)
@@ -85,7 +87,7 @@ def test_sbl_round_matches_set_transcription(h, d, data):
         assert rec.edges_shrunk == ref["shrunk"]
         edges, alive = ref["edges"], ref["alive"]
         assert sorted(ops.matrix_to_edges(state.mat, state.sizes)) == edges
-        assert next_alive == alive == tuple(state.alive.tolist())
+        assert tuple(next_alive.tolist()) == alive == tuple(state.alive.tolist())
         assert rec.remaining_vertices == len(alive) and rec.remaining_edges == len(edges)
 
 
@@ -114,8 +116,8 @@ def test_run_sbl_output_is_maximal(h, solver_seed, p, d, stop):
 
 
 @seed(1405_1133)
-@given(small_hypergraphs(), st.data())
-def test_is_maximal_on_vertices_matches_induced_oracle(h, data):
+@given(small_hypergraphs(), st.booleans(), st.data())
+def test_is_maximal_on_vertices_matches_induced_oracle(h, spread, data):
     vertices = data.draw(st.sets(st.sampled_from(list(h.vertices))))
     s = data.draw(st.sets(st.sampled_from(sorted(vertices)))) if vertices else set()
     # the oracle sweeps 1..k, so the induced part is relabelled onto it;
@@ -125,6 +127,13 @@ def test_is_maximal_on_vertices_matches_induced_oracle(h, data):
         len(rank), [[rank[v] for v in e] for e in h.edges if set(e) <= vertices]
     )
     want = naive_is_maximal(induced, {rank[v] for v in s})
+    if spread:
+        # ids spread up to 2^63 - 1, in the same order, send np.isin down
+        # its sorting path; ids 1..n take its table
+        ids = data.draw(st.sets(st.integers(1, 2**63 - 1), min_size=h.n, max_size=h.n))
+        to = dict(zip(h.vertices, sorted(ids)))
+        h = Hypergraph(2**63 - 1, [[to[v] for v in e] for e in h.edges])
+        vertices, s = {to[v] for v in vertices}, {to[v] for v in s}
     assert is_maximal_independent(h, s, vertices) == want
 
 
