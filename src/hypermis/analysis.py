@@ -23,7 +23,13 @@ constant is d^2 (needed once the dimension is allowed to grow).
 
 Monte Carlo estimates come with Wilson score intervals at 99%; the
 acceptance checks always compare interval endpoints, never raw point
-estimates.
+estimates.  Trial t marks vertex v iff the counter-based uniform of
+(t, v) falls below p, so a trial may draw its coins in any order.  Each
+estimator draws them only for the vertices its event reads, and first
+for a gate, a few vertices the event needs (the first vertex of each edge
+for lemma 1, the members of N_j(x) for lemma 2, the edges for the tail):
+a trial draws the rest of its coins only when a gate row is fully
+marked, and a trial that fails its gate counts 0 without them.
 """
 
 from __future__ import annotations
@@ -340,6 +346,13 @@ def chernoff_lower_tail(p: float, n: int, a: float) -> float:
     return math.exp(-a * a / (2.0 * p * n))
 
 
+def _check_trials(trials: int, p: float) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0.0 < p <= 1.0:  # NaN too
+        raise ValueError("p must lie in (0, 1]")
+
+
 def _estimate(exceed: int, trials: int, threshold: float) -> TailEstimate:
     lo, hi = wilson_bounds(exceed, trials)
     return TailEstimate(
@@ -368,26 +381,45 @@ _CELLS = 1 << 19
 _COIN_CELLS = 1 << 15
 
 
-def _mark_chunks(seed: int, trials: int, ids: np.ndarray, p: float, rows: int):
-    """Yield boolean (len(ids), chunk) mark matrices, one column per
-    trial: trial t marks id v iff its counter-based uniform falls below
-    p.  `rows` is the most rows the caller builds from one chunk.
+def _mark_chunks(
+    seed: int, trials: int, ids: np.ndarray, p: float, rows: int, gate: np.ndarray
+):
+    """Yield boolean (len(ids), width) mark matrices, one column per trial
+    that passes the gate, in trial order: trial t marks id v iff its
+    counter-based uniform falls below p.  A trial passes when some row of
+    `gate`, a matrix of columns into `ids`, is fully marked; the caller's
+    event must need that, as a trial left out counts 0.  `rows` is the
+    most rows the caller builds from one chunk of trials.
 
-    Every chunk is written into the same matrix, so a caller is done with
-    one before it asks for the next.  The matrix is filled a block of
-    trials at a time (see _COIN_CELLS), so that each block's coins are
-    compared with p while they are still in cache."""
+    For each chunk, the gate's ids draw their coins for every trial, then
+    the other ids draw theirs for the passing trials only, so no (trial,
+    id) coin is drawn twice and a rare event costs few coins.  Both draw
+    in blocks of at most _COIN_CELLS cells.  Every chunk is written into
+    the same matrix, so a caller is done with one before it asks for the
+    next."""
     key = rng.derive_key(seed, rng.TAG_TRIAL)
+    gated = ops.distinct(gate.ravel())
+    rest = np.flatnonzero(~ops.flags(len(ids), gated))
+    gate_ids, rest_ids, gate = ids[gated], ids[rest], np.searchsorted(gated, gate)
     chunk = min(trials, max(1, _CELLS // max(len(ids), rows, 1)))
-    block = max(1, _COIN_CELLS // max(len(ids), 1))
+    gate_block = min(chunk, max(1, _COIN_CELLS // max(len(gated), 1)))
+    rest_block = max(1, _COIN_CELLS // max(len(rest), 1))
     buf = np.empty((len(ids), chunk), dtype=bool)
+    passing = np.empty(chunk, dtype=np.int64)
     for start in range(0, trials, chunk):
-        marks = buf[:, : min(chunk, trials - start)]
-        for lo in range(0, marks.shape[1], block):
-            out = marks[:, lo : lo + block]
-            counters = np.arange(start + lo, start + lo + out.shape[1], dtype=np.int64)
-            np.less(rng.uniform_grid(key, counters, ids), p, out=out.T)
-        yield marks
+        stop, width = min(start + chunk, trials), 0
+        for lo in range(start, stop, gate_block):
+            counters = np.arange(lo, min(lo + gate_block, stop), dtype=np.int64)
+            coins = rng.uniform_grid(key, counters, gate_ids) < p
+            hit = np.flatnonzero(coins[:, gate].all(axis=2).any(axis=1))
+            buf[gated, width : width + len(hit)] = coins[hit].T
+            passing[width : width + len(hit)] = counters[hit]
+            width += len(hit)
+        for lo in range(0, width if len(rest) else 0, rest_block):
+            coins = rng.uniform_grid(key, passing[lo : min(lo + rest_block, width)], rest_ids)
+            buf[rest, lo : lo + len(coins)] = (coins < p).T
+        if width:
+            yield buf[:, :width]
 
 
 def _edge_columns(mat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,12 +449,11 @@ def tail_experiment(
 
     No trial's S exceeds the total of all weights summed the same way
     (weights are positive and rounding is monotone), so when that total
-    is at most the threshold no coin is drawn and the count is 0.
+    is at most the threshold no coin is drawn and the count is 0.  No S
+    is below 0, so below 0 every trial counts, again without coins; from
+    0 on, only the trials with some fully marked edge draw every coin.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _check_trials(trials, p)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     total = 0.0
@@ -430,10 +461,12 @@ def tail_experiment(
         total += weight
     if total <= threshold:
         return _estimate(0, trials, threshold)
+    if threshold < 0:
+        return _estimate(trials, trials, threshold)
     ids, cols = _edge_columns(*wh.base.arrays)
     w = np.fromiter(wh.weights.values(), dtype=np.float64)
     exceed = 0
-    for marks in _mark_chunks(seed, trials, ids, p, cols.size):
+    for marks in _mark_chunks(seed, trials, ids, p, cols.size, cols):
         s = np.zeros(marks.shape[1])
         for term in _fully_marked(marks, cols) * w[:, None]:
             s += term
@@ -451,8 +484,7 @@ def estimate_unmark_given_marked(
     The threshold field carries the 1/2 bound the estimate is compared
     against.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, p)
     xt = vertex_tuple(x)
     if not xt:
         raise ValueError("x must be non-empty")
@@ -466,8 +498,8 @@ def estimate_unmark_given_marked(
         raise ValueError(f"edge {tuple(mat[row, : sizes[row]].tolist())} is contained in x")
     near = hits > 0
     ids, cols = _edge_columns(*ops.remove_vertices(mat[near], sizes[near], in_x[near]))
-    hits = 0
-    for marks in _mark_chunks(seed, trials, ids, p, cols.size):
+    hits = 0  # a fully marked edge has its first id marked
+    for marks in _mark_chunks(seed, trials, ids, p, cols.size, cols[:, :1]):
         hits += int(_fully_marked(marks, cols).any(axis=0).sum())
     return _estimate(hits, trials, 0.5)
 
@@ -500,8 +532,7 @@ def estimate_neighborhood_hit(
     :func:`neighborhood_hit_bound`, so wilson_lower_99 > threshold is the
     meaningful comparison.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials, p)
     xt = vertex_tuple(x)
     nj = neighborhood(h, xt, j)
     if not nj:
@@ -514,7 +545,7 @@ def estimate_neighborhood_hit(
     ids, cols = _edge_columns(mat[near], sizes[near])
     ycols = np.searchsorted(ids, np.array(nj, dtype=np.int64))
     hits = 0
-    for marks in _mark_chunks(seed, trials, ids, p, cols.size):
+    for marks in _mark_chunks(seed, trials, ids, p, cols.size, ycols):
         edge, trial = np.nonzero(_fully_marked(marks, cols))
         marks[cols[edge], trial[:, None]] = False  # unmark every fully marked edge
         hits += int(_fully_marked(marks, ycols).any(axis=0).sum())

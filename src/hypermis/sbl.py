@@ -44,7 +44,7 @@ from . import _edgeops as ops
 from . import rng
 from .baseline import greedy_mis_over
 from .bl import STATUS_OK, BlConfig, State, make_state, run_bl
-from .core import Hypergraph, InternalInvariantError, is_independent, is_maximal_independent
+from .core import Hypergraph, InternalInvariantError, is_maximal_independent
 
 FAIL_ABORT = "abort"
 FAIL_FALLBACK_GREEDY = "fallback-greedy"
@@ -357,6 +357,7 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
     max_rounds = cfg.max_rounds or default_max_rounds(h.n, params.p)
 
     blues: set[int] = set()
+    blue_ids = np.zeros(0, dtype=np.int64)  # sorted, kept under check_invariants
     records: list[SblRoundRecord] = []
     retries_total = 0
     exit_reason = EXIT_STOP_THRESHOLD
@@ -383,8 +384,12 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
             exit_reason = EXIT_DIMENSION_GATE
             break
         blues.update(blue)
-        if cfg.check_invariants and not is_independent(h, blues):
-            raise InternalInvariantError("blue set lost independence")
+        if cfg.check_invariants:
+            # a round's blue ids are new, so one insert keeps them sorted
+            new = np.array(blue, dtype=np.int64)
+            blue_ids = np.insert(blue_ids, blue_ids.searchsorted(new), new)
+            if not ops.is_maximal_on(*h.arrays, blue_ids, blue_ids[:0]):
+                raise InternalInvariantError("blue set lost independence")
         rnd += 1
 
     residual = greedy_mis_over(ops.matrix_to_edges(state.mat, state.sizes), state.alive.tolist())

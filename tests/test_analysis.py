@@ -404,6 +404,15 @@ class TestNeighborhoodHit:
         )
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 2.0])
+def test_lemma_estimators_check_p(p):
+    # as tail_experiment does; p = 2 would otherwise mark every vertex
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        an.estimate_unmark_given_marked(H0, [4], p, 10, seed=1)
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        an.estimate_neighborhood_hit(H0, [4], 1, p, 10, seed=1)
+
+
 class TestIncreaseBound:
     def test_h0_manual(self):
         L = math.log2(5)

@@ -275,6 +275,17 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert err == f"error: {which} needs --{missing}\n"
 
+    @pytest.mark.parametrize("which", [["lemma1"], ["lemma2", "--j", "1"]])
+    @pytest.mark.parametrize("p", ["nan", "2"])
+    def test_lemma_bad_p_fails(self, instance, capsys, which, p):
+        code, out, err = run_cli(
+            ["experiment", *which, str(instance), "--seed", "1",
+             "--trials", "100", "--x", "3", "--p", p],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: p must lie in (0, 1]"
+
     def test_tail_nan_delta_fails(self, instance, capsys):
         code, out, err = run_cli(
             ["experiment", "tail", str(instance), "--seed", "2",

@@ -1,14 +1,19 @@
 """The Monte Carlo estimators and migration weights against the loop-based
 oracle in mc_reference.py, result for result and error for error.
 
-The estimators draw coins only for the ids an event reads and test all
-edges of a chunk of trials in one array pass; the oracle draws every id
-in sight for all trials at once and loops over edges.  Coins depend only
-on (trial, id), so the two must agree exactly, also when the trials are
-cut into many chunks and a chunk's coins into many blocks (both budgets
-are patched small here).  The oracle draws every coin; the library may
-skip the coins of an event that cannot happen, such as a tail total
-above a threshold that no sum of the weights exceeds."""
+The estimators draw coins only for the ids an event reads, and only for
+the trials that pass a gate: a trial draws its gate ids' coins, and the
+rest of its coins only when some gate row (an edge's first id for lemma
+1, a member of N_j(x) for lemma 2, an edge for the tail) is fully marked.
+They then test all edges of a chunk of passing trials in one array pass.
+The oracle draws every id in sight for all trials at once and loops over
+edges.  Coins depend only on (trial, id), so the two must agree exactly,
+also when the trials are cut into many chunks and the coins into many
+blocks (both budgets are patched small here) and when p is so small that
+most chunks have few or no passing trials.  The oracle draws every coin;
+the library may skip the coins of an event that cannot happen, and never
+draws one coin twice.  A tail threshold below 0 or at least the total
+weight decides every trial without coins."""
 
 from __future__ import annotations
 
@@ -16,18 +21,20 @@ import math
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import mc_reference as ref
 from hypermis import analysis as an
-from hypermis.core import Hypergraph
+from hypermis import rng
+from hypermis.core import Hypergraph, neighborhood
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
 
 CELLS = st.sampled_from([1, 5, 64, an._CELLS])
 COIN_CELLS = st.sampled_from([1, 3, 64, an._COIN_CELLS])
-PS = st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0])
+PS = st.sampled_from([0.005, 0.02, 0.05, 0.3, 0.5, 0.9, 1.0])
 TRIALS = st.integers(1, 300)
 SEEDS = st.integers(0, 2**32)
 
@@ -37,6 +44,21 @@ def outcome(fn, *args):
         return fn(*args)
     except ValueError as err:  # BadArityError and NoEdgesError are ValueErrors
         return type(err), str(err)
+
+
+def drawing(fn, *args):
+    """outcome(fn, *args) and the (key, trial counter, id) of each coin it
+    draws, checking that no coin is drawn twice."""
+    drawn, uniform_grid = [], rng.uniform_grid
+
+    def logged(key, rows, cols):
+        drawn.extend((key, t, v) for t in rows.tolist() for v in cols.tolist())
+        return uniform_grid(key, rows, cols)
+
+    with mock.patch.object(an.rng, "uniform_grid", logged):
+        got = outcome(fn, *args)
+    assert len(set(drawn)) == len(drawn)
+    return got, drawn
 
 
 def weight_items(result):
@@ -98,7 +120,7 @@ def weighted_and_threshold(draw):
 def test_unmark_estimate_matches_reference(case, p, trials, mc_seed, cells, coin_cells):
     h, x = case
     with mock.patch.multiple(an, _CELLS=cells, _COIN_CELLS=coin_cells):
-        got = outcome(an.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
+        got, _ = drawing(an.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
     assert got == outcome(ref.estimate_unmark_given_marked, h, x, p, trials, mc_seed)
 
 
@@ -107,8 +129,19 @@ def test_unmark_estimate_matches_reference(case, p, trials, mc_seed, cells, coin
 def test_neighborhood_hit_matches_reference(case, j, p, trials, mc_seed, cells, coin_cells):
     h, x = case
     with mock.patch.multiple(an, _CELLS=cells, _COIN_CELLS=coin_cells):
-        got = outcome(an.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
+        got, drawn = drawing(an.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
     assert got == outcome(ref.estimate_neighborhood_hit, h, x, j, p, trials, mc_seed)
+    if isinstance(got, tuple):  # an error
+        return
+    # the ids of N_j(x) draw for every trial; the other ids of the edges
+    # through them only for the trials in which some Y is fully marked
+    nj = neighborhood(h, x, j)
+    gate_ids = sorted({v for y in nj for v in y})
+    others = {v for e in h.edges if set(e) & set(gate_ids) for v in e} - set(gate_ids)
+    marks = ref.mark_matrix(mc_seed, trials, np.array(gate_ids, dtype=np.int64), p)
+    col = {v: i for i, v in enumerate(gate_ids)}
+    passing = np.any([marks[:, [col[v] for v in y]].all(axis=1) for y in nj], axis=0).sum()
+    assert len(drawn) <= trials * len(gate_ids) + passing * len(others)
 
 
 @seed(14051133)
@@ -124,7 +157,7 @@ def test_migration_weights_match_reference(case, j, gap):
 def test_tail_experiment_matches_reference(case, p, trials, mc_seed, cells, coin_cells):
     wh, threshold = case
     with mock.patch.multiple(an, _CELLS=cells, _COIN_CELLS=coin_cells):
-        got = an.tail_experiment(wh, p, threshold, trials, mc_seed)
+        got, _ = drawing(an.tail_experiment, wh, p, threshold, trials, mc_seed)
     assert got == ref.tail_experiment(wh, p, threshold, trials, mc_seed)
 
 
@@ -176,6 +209,19 @@ def test_tail_at_or_above_the_total_draws_no_coin(m, p):
             an.tail_experiment(wh, 0.0, total, 50, 7)
     below = math.nextafter(total, 0.0)
     assert an.tail_experiment(wh, p, below, 50, 7) == ref.tail_experiment(wh, p, below, 50, 7)
+
+
+@pytest.mark.parametrize("p", [0.005, 0.3, 1.0])
+def test_tail_below_zero(p):
+    # no S is below 0, so at -1 every trial exceeds and no coin is drawn;
+    # at -0.0 a trial exceeds only with some fully marked edge, the gate
+    wh, _ = summed_weights(20)
+    want = [ref.tail_experiment(wh, p, t, 50, 7) for t in (-1.0, -0.0)]
+    assert want[0].exceed_count == 50
+    with mock.patch.object(an.rng, "uniform_grid", side_effect=CoinDrawn):
+        assert an.tail_experiment(wh, p, -1.0, 50, 7) == want[0]
+    got, drawn = drawing(an.tail_experiment, wh, p, -0.0, 50, 7)
+    assert got == want[1] and drawn
 
 
 def traced_peak(fn, *args) -> int:

@@ -195,6 +195,22 @@ class TestRunSbl:
             if rec.bl_summary is not None:
                 assert rec.induced_dim <= 3
 
+    def test_blue_check_reads_every_round(self, monkeypatch):
+        # rounds 0 and 1 report half an edge each as blue: only a check over
+        # the blue ids of every round sees the whole edge
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
+        e = h.edges[0]
+
+        def leaky(state, p, d, cfg, rnd, **kw):
+            assert rnd <= 1
+            _, *rest = sbl_round(state, p, d, cfg, rnd, **kw)
+            return (e[:3] if rnd == 0 else e[3:], *rest)
+
+        monkeypatch.setattr(sbl, "sbl_round", leaky)
+        cfg = SblConfig(seed=9, p_override=0.35, d_cap_override=3, check_invariants=True)
+        with pytest.raises(sbl.InternalInvariantError, match="blue set lost independence"):
+            run_sbl(h, cfg)
+
     def test_abort_policy_raises(self):
         # one big edge plus p forced high: every sample is the whole
         # vertex set, inducing dimension 4 > cap 3

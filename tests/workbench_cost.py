@@ -8,8 +8,10 @@ The pass is perfbench's ``workbench-mc`` operation (``workbench_pass``
 in ``perfbench/workloads.py``), on that workload's instance for the
 workload seed ``--seed`` and with its Monte Carlo seed.  The library
 calls the pass makes are wrapped by module attribute and timed
-(``perf_counter``), and ``rng.uniform_grid`` is wrapped to count the
-coin cells (trials x ids) each part draws.  The parts:
+(``perf_counter``), ``rng.uniform_grid`` is wrapped to count the coin
+cells (trials x ids) each part draws, and ``analysis._mark_chunks`` to
+count the trials that pass an estimator's gate and so draw all their
+coins (the widths of the mark matrices it yields).  The parts:
 
 - degree profile: ``core.degree_profile`` and ``analysis.potential_report``;
 - constants: ``analysis.kelsen_constants`` and ``analysis.eval_D`` (the
@@ -21,10 +23,10 @@ coin cells (trials x ids) each part draws.  The parts:
 - other: the rest of the pass (its pair and vertex counts).
 
 One pass runs untimed (warm-up), then ``--reps`` timed passes; each part
-prints its median ms over the passes and its coin cells per pass, which
-repeat exactly.  Imports hypermis from the ``src/`` and the pass from the
-``perfbench/`` beside this directory, so a copy of the script in another
-checkout measures that checkout.  Not collected by pytest (the name does
+prints its median ms over the passes, and its coin cells and fully drawn
+trials per pass, which repeat exactly.  Imports hypermis from the
+``src/`` and the pass from the ``perfbench/`` beside this directory, so a
+copy of the script in another checkout measures that checkout.  Not collected by pytest (the name does
 not start with ``test_``).
 """
 
@@ -63,6 +65,7 @@ class Meter:
     def __init__(self):
         self.seconds = defaultdict(float)
         self.cells = defaultdict(int)
+        self.drawn = defaultdict(int)
         self.part = None
         self.saved = []
 
@@ -83,12 +86,21 @@ class Meter:
             return fn(key, rows, cols)
         return wrapper
 
+    def _passing(self, fn):
+        def wrapper(*args, **kwargs):
+            for marks in fn(*args, **kwargs):
+                self.drawn[self.part or "other"] += marks.shape[1]
+                yield marks
+        return wrapper
+
     def install(self):
         for (mod, name), part in PARTS.items():
             self.saved.append((mod, name, getattr(mod, name)))
             setattr(mod, name, self._timed(part, getattr(mod, name)))
         self.saved.append((rng, "uniform_grid", rng.uniform_grid))
         rng.uniform_grid = self._counted(rng.uniform_grid)
+        self.saved.append((analysis, "_mark_chunks", analysis._mark_chunks))
+        analysis._mark_chunks = self._passing(analysis._mark_chunks)
 
     def uninstall(self):
         for mod, name, fn in reversed(self.saved):
@@ -125,11 +137,12 @@ def main(argv=None) -> int:
         meter.seconds["pass"] = total
         passes.append(meter)
     print(f"workload: {name} seed {args.seed} operation {args.index} ({h!r})")
-    print(f"{'part':16s} {'ms':>9s} {'coin cells':>12s}")
+    print(f"{'part':16s} {'ms':>9s} {'coin cells':>12s} {'drawn trials':>13s}")
     for part in ORDER + ["other", "pass"]:
         ms = 1000 * statistics.median(m.seconds[part] for m in passes)
-        cells = sum(passes[0].cells.values()) if part == "pass" else passes[0].cells[part]
-        print(f"{part:16s} {ms:9.2f} {cells:12d}")
+        counts = [passes[0].cells, passes[0].drawn]
+        cells, drawn = (sum(c.values()) if part == "pass" else c[part] for c in counts)
+        print(f"{part:16s} {ms:9.2f} {cells:12d} {drawn:13d}")
     return 0
 
 
