@@ -514,7 +514,11 @@ def neighborhood_hit_bound(h: Hypergraph, x: Iterable[int], j: int) -> float:
     a = 2^(d+1) on the probability that some member of N_j(x) is fully
     committed in one round."""
     xt = vertex_tuple(x)
-    nj = neighborhood(h, xt, j)
+    return _hit_bound(h, xt, j, neighborhood(h, xt, j))
+
+
+def _hit_bound(h: Hypergraph, xt: tuple[int, ...], j: int, nj: list) -> float:
+    """:func:`neighborhood_hit_bound` given the members nj of N_j(xt)."""
     if not nj:
         raise BadArityError(f"N_{j}({xt}) is empty")
     eps = len(nj) ** (1.0 / j) / degree_profile(h).delta
@@ -535,9 +539,7 @@ def estimate_neighborhood_hit(
     _check_trials(trials, p)
     xt = vertex_tuple(x)
     nj = neighborhood(h, xt, j)
-    if not nj:
-        raise BadArityError(f"N_{j}({xt}) is empty")
-    bound = neighborhood_hit_bound(h, xt, j)
+    bound = _hit_bound(h, xt, j, nj)
     # only an edge through a vertex of some Y can unmark it
     mat, sizes = h.arrays
     in_nj = ops.member(mat, ops.distinct(np.ravel(nj))) & ops.valid_mask(mat, sizes)

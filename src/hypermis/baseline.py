@@ -73,10 +73,9 @@ def enumerate_all_mis(h: Hypergraph) -> list[tuple[int, ...]]:
         indep &= (masks & em) != em
     maximal = indep.copy()
     for v in range(n):
-        vm = np.uint32(1 << v)
-        lacks_v = (masks & vm) == 0
-        # S fails maximality if v is outside S and S | {v} stays independent
-        maximal &= ~(lacks_v & indep[masks | vm])
+        # S fails maximality if v is outside S and S | {v} stays independent;
+        # in halves of 2^v masks, the first lacks v and the second adds it
+        maximal.reshape(-1, 2, 1 << v)[:, 0] &= ~indep.reshape(-1, 2, 1 << v)[:, 1]
     out = []
     for mask in np.nonzero(maximal)[0]:
         mask = int(mask)

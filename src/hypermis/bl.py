@@ -47,6 +47,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -83,8 +84,16 @@ class BlConfig:
             raise ValueError("max_rounds must be >= 1")
 
 
+class RoundRecord:
+    """Base of both solvers' round records, each a dataclass."""
+
+    def to_json_line(self) -> str:
+        """The fields, in declaration order, as one JSON object."""
+        return json.dumps(vars(self))
+
+
 @dataclass
-class BlRoundRecord:
+class BlRoundRecord(RoundRecord):
     round: int
     marked: tuple[int, ...]
     unmarked: tuple[int, ...]
@@ -94,15 +103,11 @@ class BlRoundRecord:
     delta: float
     p_used: float
 
-    def to_json_line(self) -> str:
-        """The fields, in declaration order, as one JSON object."""
-        return json.dumps(vars(self))
-
 
 @dataclass
 class SolverResult:
     mis: tuple[int, ...]
-    rounds: list[BlRoundRecord] = field(default_factory=list)
+    rounds: list[RoundRecord] = field(default_factory=list)
     status: str = STATUS_OK
 
     def trace_jsonl(self) -> str:
@@ -350,7 +355,7 @@ def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
 
 def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
     """One mark/unmark/cleanup round on `state`, in place, with the coin
-    function `coins`, ids -> uniforms.  Returns (record, added)."""
+    function `coins`, ids -> uniforms.  Returns its record."""
     alive = state.alive
     marked = alive[coins(alive) < p]
     # one incidence gather: the fully marked rows, whose ids are unmarked,
@@ -371,7 +376,7 @@ def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
         state.drop(single)
         gone = np.concatenate([added, victims])
     state.alive = ops.without(alive, gone)
-    rec = BlRoundRecord(
+    return BlRoundRecord(
         round=rnd,
         marked=tuple(marked.tolist()),
         unmarked=tuple(unmarked.tolist()),
@@ -381,7 +386,6 @@ def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
         delta=delta,
         p_used=p,
     )
-    return rec, added
 
 
 def run_bl(
@@ -407,13 +411,11 @@ def run_bl(
     if cfg.p_mode == P_MODE_FIXED and state.m:
         frozen = _round_p(state, cfg, None)
 
-    mis: list[int] = []
     records: list[BlRoundRecord] = []
-    rnd = 0
-    while len(state.alive) and rnd < max_rounds:
+    while len(state.alive) and len(records) < max_rounds:
+        rnd = len(records)
         if state.m == 0:
             remaining = tuple(state.alive.tolist())
-            mis.extend(remaining)
             records.append(
                 BlRoundRecord(
                     round=rnd,
@@ -430,17 +432,11 @@ def run_bl(
             break
         delta, p = _round_p(state, cfg, frozen)
         coins = partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        rec, added = _mark_round(state, p, coins, delta, rnd)
-        mis.extend(added.tolist())
-        records.append(rec)
-        rnd += 1
+        records.append(_mark_round(state, p, coins, delta, rnd))
 
     status = STATUS_OK if len(state.alive) == 0 else STATUS_ROUND_LIMIT
-    result = SolverResult(mis=tuple(sorted(mis)), rounds=records, status=status)
-    if (
-        status == STATUS_OK
-        and isinstance(h, Hypergraph)
-        and not is_maximal_independent(h, result.mis, vertices)
-    ):
+    mis = tuple(sorted(chain.from_iterable(rec.added for rec in records)))
+    checked = status == STATUS_OK and isinstance(h, Hypergraph)
+    if checked and not is_maximal_independent(h, mis, vertices):
         raise InternalInvariantError("marking solver produced a non-maximal set")
-    return result
+    return SolverResult(mis=mis, rounds=records, status=status)

@@ -197,16 +197,11 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     are undefined and NoEdgesError is raised); the input should be
     normalized so edge multiplicities do not inflate counts.  The pairs
     are read from :class:`hypermis._edgeops.SubsetCounts`, the counter
-    the solvers keep, built on the edge matrix with the ids present
-    relabelled to 1..k, so that subset keys follow the edges, not n.
-    An edge size with no edges gets delta_i 0.0.
+    the solvers keep, built on the edge matrix as it is (its subset keys
+    are exact for any n).  An edge size with no edges gets delta_i 0.0.
     """
     mat, sizes = h.arrays
-    valid = ops.valid_mask(mat, sizes)
-    ids, rank = np.unique(mat[valid], return_inverse=True)
-    ranked = np.zeros_like(mat)
-    ranked[valid] = rank + 1
-    pairs = ops.SubsetCounts(ranked, sizes, len(ids)).pairs(np.bincount(sizes))
+    pairs = ops.SubsetCounts(mat, sizes, h.n).pairs(np.bincount(sizes))
     if not pairs:
         raise NoEdgesError("no edge of size >= 2")
     delta_i = dict.fromkeys(range(2, h.dim + 1), 0.0)

@@ -198,6 +198,8 @@ class Stream:
             last = size - k + 1  # windows of k words start at 0 .. last - 1
             bad = _window_any(z >= span, k)
             for gap in range(1, k):  # equal ids `gap` words apart
+                if bad.all():  # no window left to rule out
+                    break
                 bad |= _window_any(ids[gap:] == ids[:-gap], k - gap)
             # the bad windows by position mod k: a draw that ends at p is
             # followed by the draws at p, p + k, ... up to the next one

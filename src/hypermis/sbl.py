@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,7 @@ import numpy as np
 from . import _edgeops as ops
 from . import rng
 from .baseline import greedy_mis_over
-from .bl import STATUS_OK, BlConfig, State, make_state, run_bl
+from .bl import STATUS_OK, BlConfig, RoundRecord, SolverResult, State, make_state, run_bl
 from .core import Hypergraph, InternalInvariantError, is_maximal_independent
 
 FAIL_ABORT = "abort"
@@ -173,7 +173,7 @@ def derive_params(n: int, m: int, cfg: SblConfig) -> SblParams:
 
 
 @dataclass
-class SblRoundRecord:
+class SblRoundRecord(RoundRecord):
     round: int
     sampled: tuple[int, ...]
     induced_edges: int
@@ -185,23 +185,24 @@ class SblRoundRecord:
     remaining_vertices: int
     remaining_edges: int
 
-    def to_json_line(self) -> str:
-        """The fields, in declaration order, as one JSON object."""
-        return json.dumps(vars(self))
-
 
 @dataclass
-class SblResult:
-    mis: tuple[int, ...]
-    rounds: list[SblRoundRecord] = field(default_factory=list)
-    fallback: str = FALLBACK_GREEDY
-    status: str = STATUS_OK
+class SblResult(SolverResult):
+    """A solve's result, with why its loop stopped and the parameters."""
+
     exit_reason: str = ""
-    retries_total: int = 0
     params: SblParams | None = None
 
-    def trace_jsonl(self) -> str:
-        return "".join(rec.to_json_line() + "\n" for rec in self.rounds)
+    @property
+    def fallback(self) -> str:
+        """Which finisher ran: the marking solver on the whole input, or
+        the greedy pass on the loop's residual."""
+        return FALLBACK_BL_DIRECT if self.exit_reason == EXIT_BL_DIRECT else FALLBACK_GREEDY
+
+    @property
+    def retries_total(self) -> int:
+        """Dimension-gate resamples, summed over the rounds."""
+        return sum(rec.retries for rec in self.rounds)
 
     def result_json(self) -> str:
         return json.dumps(
@@ -333,36 +334,24 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
     input.
     """
     state = make_state(h)
-    dim = state.dim
     # a 0- or 1-vertex instance has dimension <= 1 and always takes the
     # direct path; the parameter formulas are not defined there
     params = derive_params(h.n, state.m, cfg) if h.n >= 2 else None
 
-    if params is None or dim <= params.d:
+    if params is None or state.dim <= params.d:
         bl_cfg = BlConfig(seed=rng.derive_key(cfg.seed, rng.TAG_SBL_INNER, 0, 0))
         bl_res = run_bl(state, bl_cfg)
-        result = SblResult(
-            mis=bl_res.mis,
-            rounds=[],
-            fallback=FALLBACK_BL_DIRECT,
-            status=bl_res.status,
-            exit_reason=EXIT_BL_DIRECT,
-            retries_total=0,
-            params=params,
-        )
-        if result.status == STATUS_OK:
-            _final_check(h, result.mis)
-        return result
+        return _result(h, mis=bl_res.mis, status=bl_res.status, exit_reason=EXIT_BL_DIRECT,
+                       params=params)
 
     max_rounds = cfg.max_rounds or default_max_rounds(h.n, params.p)
 
     blues: set[int] = set()
     blue_ids = np.zeros(0, dtype=np.int64)  # sorted, kept under check_invariants
     records: list[SblRoundRecord] = []
-    retries_total = 0
     exit_reason = EXIT_STOP_THRESHOLD
-    rnd = 0
     while len(state.alive) >= params.stop_threshold:
+        rnd = len(records)
         if rnd >= max_rounds:
             exit_reason = EXIT_MAX_ROUNDS
             break
@@ -374,7 +363,6 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
             exit_reason = EXIT_INNER_ROUND_LIMIT
             break
         records.append(rec)
-        retries_total += rec.retries
         if blue is None:
             if cfg.fail_policy == FAIL_ABORT:
                 raise DimensionGateExhausted(
@@ -390,23 +378,16 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
             blue_ids = np.insert(blue_ids, blue_ids.searchsorted(new), new)
             if not ops.is_maximal_on(*h.arrays, blue_ids, blue_ids[:0]):
                 raise InternalInvariantError("blue set lost independence")
-        rnd += 1
 
     residual = greedy_mis_over(ops.matrix_to_edges(state.mat, state.sizes), state.alive.tolist())
     mis = tuple(sorted(blues.union(residual)))
-    result = SblResult(
-        mis=mis,
-        rounds=records,
-        fallback=FALLBACK_GREEDY,
-        status=STATUS_OK,
-        exit_reason=exit_reason,
-        retries_total=retries_total,
-        params=params,
-    )
-    _final_check(h, result.mis)
-    return result
+    return _result(h, mis=mis, rounds=records, exit_reason=exit_reason, params=params)
 
 
-def _final_check(h: Hypergraph, mis: tuple[int, ...]) -> None:
-    if not is_maximal_independent(h, mis):
+def _result(h: Hypergraph, **fields) -> SblResult:
+    """SblResult(**fields), checked to be a maximal independent set of `h`
+    when its status is ok."""
+    result = SblResult(**fields)
+    if result.status == STATUS_OK and not is_maximal_independent(h, result.mis):
         raise InternalInvariantError("sampling solver produced a non-maximal set")
+    return result

@@ -42,6 +42,6 @@ def bl_round(
     victims leave it.
     """
     state = make_state(h, vertex_set)
-    rec, added = _mark_round(state, p, coins, ops.degree_value(state.degree_pair()), 0)
+    rec = _mark_round(state, p, coins, ops.degree_value(state.degree_pair()), 0)
     next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
-    return tuple(added.tolist()), next_h, tuple(state.alive.tolist()), rec
+    return rec.added, next_h, tuple(state.alive.tolist()), rec

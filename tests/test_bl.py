@@ -109,11 +109,11 @@ class TestBlRound:
         alive, mat, sizes = full.normalized(h)
         delta = ops.degree_value(state.degree_pair())
         coins = ForcedMarks([5, 6])
-        rec, added = _mark_round(state, 0.5, coins, delta, 0)
+        rec = _mark_round(state, 0.5, coins, delta, 0)
         alive, mat, sizes, want, want_added = full.mark_round(
             h.n, alive, mat, sizes, 0.5, coins, delta, 0)
         assert rec.to_json_line() == want.to_json_line()
-        assert added.tolist() == want_added.tolist() == [5, 6]
+        assert list(rec.added) == want_added.tolist() == [5, 6]
         assert state.alive.tolist() == alive.tolist() == ([2, 3, 4] if singleton else [1, 2, 3, 4])
         assert state.m == len(sizes) == 2
 

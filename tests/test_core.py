@@ -207,7 +207,8 @@ class TestDegreeProfile:
             assert got.delta == pytest.approx(max(want.values()), rel=1e-12)
 
     def test_wide_ids_are_relabelled(self):
-        # ids near 2^40: counting them unrelabelled would need 8 TiB
+        # ids near 2^40: a count table indexed by id would need 8 TiB; the
+        # subset keys number only the subsets on the edges
         big = 2 ** 40
         edges = [(big + 1, big + 2, big + 3), (big + 1, big + 2, big + 4), (5, big + 1, big + 5)]
         tracemalloc.start()
@@ -220,6 +221,17 @@ class TestDegreeProfile:
         # {big+1, big+2} lies in two 3-edges (j = 1); big+1 in three (j = 2)
         assert prof.delta_i == {2: 0.0, 3: 2.0}
         assert prof.delta == 2.0
+        # dim 5 with ids 2-9 moved up near 2^62 beside id 1: at this n a key
+        # of two or more ids needs more than 63 bits, so it takes ranks
+        small = normalize(gen(GenSpec(n=9, kind=KIND_MIXED, seed=4, m=14, dim_range=(2, 5))))
+        assert small.dim == 5
+        big = 2 ** 62
+        wide = Hypergraph(big + 9, [tuple(v if v == 1 else big + v for v in e) for e in small.edges])
+        want, got = naive_degree_profile(small), degree_profile(wide)
+        assert set(got.delta_i) == set(want)
+        for i, val in want.items():
+            assert got.delta_i[i] == pytest.approx(val, rel=1e-12)
+        assert got.delta == pytest.approx(max(want.values()), rel=1e-12)
 
     def test_exact_comparisons(self):
         # 8^(1/3) == 4^(1/2) == 2^(1/1): none strictly less than another

@@ -36,6 +36,16 @@ def force(ids):
     return lambda retry, alive: np.array([int(v) in chosen for v in alive])
 
 
+def assert_exit_facts(res, exit_reason):
+    """The result's exit, the finisher that follows from it, and the
+    retry total read from its records, as reported in result_json."""
+    assert res.exit_reason == exit_reason
+    assert res.fallback == (FALLBACK_BL_DIRECT if exit_reason == EXIT_BL_DIRECT else FALLBACK_GREEDY)
+    assert res.retries_total == sum(rec.retries for rec in res.rounds)
+    doc = json.loads(res.result_json())
+    assert (doc["fallback"], doc["retries_total"]) == (res.fallback, res.retries_total)
+
+
 class TestDeriveParams:
     def test_n_2_16_defaults(self):
         # log2 n = 16, loglog = 4, logloglog = 2
@@ -161,8 +171,7 @@ class TestRunSbl:
     def test_h0_direct_path(self):
         oracle = set(enumerate_all_mis(H0))
         res = run_sbl(H0, SblConfig(seed=5, p_override=0.35, d_cap_override=3))
-        assert res.fallback == FALLBACK_BL_DIRECT
-        assert res.exit_reason == EXIT_BL_DIRECT
+        assert_exit_facts(res, EXIT_BL_DIRECT)
         assert res.mis in oracle
 
     def test_loop_path_small_oracle(self):
@@ -183,7 +192,7 @@ class TestRunSbl:
             SblConfig(seed=9, p_override=0.35, d_cap_override=3, check_invariants=True),
         )
         assert len(res.rounds) > 0
-        assert res.exit_reason == EXIT_STOP_THRESHOLD
+        assert_exit_facts(res, EXIT_STOP_THRESHOLD)
         assert is_maximal_independent(h, res.mis)
         # sampled vertices leave the pool each round; on normal exit the
         # residual handed to greedy is below the size threshold
@@ -230,7 +239,8 @@ class TestRunSbl:
         )
         res = run_sbl(h, cfg)
         assert res.status == "ok"
-        assert res.exit_reason == EXIT_DIMENSION_GATE
+        assert_exit_facts(res, EXIT_DIMENSION_GATE)
+        assert res.retries_total == 2  # both retries of the one round
         assert is_maximal_independent(h, res.mis)
 
     def test_inner_round_limit_follows_fail_policy(self, monkeypatch):
@@ -242,7 +252,7 @@ class TestRunSbl:
         cfg = SblConfig(seed=9, p_override=0.35, d_cap_override=3)
         res = run_sbl(h, cfg)
         assert res.status == "ok"
-        assert res.exit_reason == EXIT_INNER_ROUND_LIMIT
+        assert_exit_facts(res, EXIT_INNER_ROUND_LIMIT)
         assert res.rounds == []
         assert is_maximal_independent(h, res.mis)
         with pytest.raises(RoundLimitError):
@@ -268,7 +278,7 @@ class TestRunSbl:
             h,
             SblConfig(seed=9, p_override=0.35, d_cap_override=3, max_rounds=1),
         )
-        assert res.exit_reason == "max-rounds"
+        assert_exit_facts(res, "max-rounds")
         assert len(res.rounds) == 1
         assert is_maximal_independent(h, res.mis)
 

@@ -46,6 +46,11 @@ def test_uniform_matches_loop(spec):
     [
         (6, 6, 1),  # d = n
         (40, 40, 1),
+        (200, 200, 1),
+        (1000, 1000, 1),
+        (6, 5, 6),  # d = n - 1
+        (200, 199, 3),
+        (1000, 999, 2),
         (60, 30, 100),  # wide windows that nearly always repeat an id
         (7, 3, 35),  # m = C(n, d)
         (12, 2, 66),
