@@ -118,6 +118,16 @@ def csr_gather(ptr: np.ndarray, items: np.ndarray, lists: np.ndarray):
     return k, items[np.arange(len(k)) + (lo - cnt.cumsum() + cnt)[k]]
 
 
+def incidence(mat: np.ndarray, sizes: np.ndarray, verts: np.ndarray):
+    """(order, rows, ptr): the rows holding verts[k] are rows[ptr[k] :
+    ptr[k + 1]], and `order` sorts the entries of the rows (row by row)
+    by id.  Every id of the rows must be among the sorted ids `verts`."""
+    ids = mat[valid_mask(mat, sizes)]
+    order = np.argsort(ids)
+    ptr = np.append(np.searchsorted(ids[order], verts), len(ids))
+    return order, np.repeat(np.arange(len(sizes)), sizes)[order], ptr
+
+
 def rows_inside(mat: np.ndarray, sizes: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Mask of the rows all of whose ids are among the sorted ids `ids`."""
     return (member(mat, ids) | ~valid_mask(mat, sizes)).all(axis=1)
@@ -125,12 +135,15 @@ def rows_inside(mat: np.ndarray, sizes: np.ndarray, ids: np.ndarray) -> np.ndarr
 
 def is_maximal_on(mat, sizes, s, vertices) -> bool:
     """True iff no row lies inside the sorted ids `s` and each id of
-    `vertices` is in s or blocked, the one id of some row outside s."""
+    `vertices` is in s or blocked, the one id of some row outside s; an
+    int n, not an array, stands for 1..n, which s (distinct) and blocked fill."""
     outside = valid_mask(mat, sizes) & ~np.isin(mat, s)
     left = outside.sum(axis=1)
     if not left.all():
         return False
     blocked = np.sort(mat[left == 1][outside[left == 1]])
+    if not isinstance(vertices, np.ndarray):  # blocked ids lie in 1..n, outside s
+        return np.count_nonzero((s >= 1) & (s <= vertices)) + len(distinct(blocked)) == vertices
     return bool((member(vertices, s) | member(vertices, blocked)).all())
 
 

@@ -24,7 +24,8 @@ constant is d^2 (needed once the dimension is allowed to grow).
 Monte Carlo estimates come with Wilson score intervals at 99%; the
 acceptance checks always compare interval endpoints, never raw point
 estimates.  Trial t marks vertex v iff the counter-based uniform of
-(t, v) falls below p, so a trial may draw its coins in any order.  Each
+(t, v) falls below p (:func:`hypermis.rng.mark_grid` compares the raw
+words), so a trial may draw its coins in any order.  Each
 estimator draws them only for the vertices its event reads, and first
 for a gate, a few vertices the event needs (the first vertex of each edge
 for lemma 1, the members of N_j(x) for lemma 2, the edges for the tail):
@@ -372,8 +373,8 @@ def _estimate(exceed: int, trials: int, threshold: float) -> TailEstimate:
 # no result depends on it.
 _CELLS = 1 << 19
 
-# Cells of coins drawn at once.  rng.uniform_grid holds three 8-byte
-# words per cell while it mixes, about 768 KiB at 2^15 cells, so a block
+# Cells of coins drawn at once.  rng.mark_grid holds two 8-byte words
+# and a mark per cell, about 544 KiB at 2^15 cells, so a block
 # stays in a core's L2 (2 MiB per core on the x86-64 host measured)
 # through its mix passes; a whole chunk of 2^19 cells streams each pass
 # from L3 at two to three times the cost per cell.  No result depends
@@ -410,14 +411,14 @@ def _mark_chunks(
         stop, width = min(start + chunk, trials), 0
         for lo in range(start, stop, gate_block):
             counters = np.arange(lo, min(lo + gate_block, stop), dtype=np.int64)
-            coins = rng.uniform_grid(key, counters, gate_ids) < p
+            coins = rng.mark_grid(key, counters, gate_ids, p)
             hit = np.flatnonzero(coins[:, gate].all(axis=2).any(axis=1))
             buf[gated, width : width + len(hit)] = coins[hit].T
             passing[width : width + len(hit)] = counters[hit]
             width += len(hit)
         for lo in range(0, width if len(rest) else 0, rest_block):
-            coins = rng.uniform_grid(key, passing[lo : min(lo + rest_block, width)], rest_ids)
-            buf[rest, lo : lo + len(coins)] = (coins < p).T
+            coins = rng.mark_grid(key, passing[lo : min(lo + rest_block, width)], rest_ids, p)
+            buf[rest, lo : lo + len(coins)] = coins.T
         if width:
             yield buf[:, :width]
 
@@ -514,11 +515,7 @@ def neighborhood_hit_bound(h: Hypergraph, x: Iterable[int], j: int) -> float:
     a = 2^(d+1) on the probability that some member of N_j(x) is fully
     committed in one round."""
     xt = vertex_tuple(x)
-    return _hit_bound(h, xt, j, neighborhood(h, xt, j))
-
-
-def _hit_bound(h: Hypergraph, xt: tuple[int, ...], j: int, nj: list) -> float:
-    """:func:`neighborhood_hit_bound` given the members nj of N_j(xt)."""
+    nj = neighborhood(h, xt, j)
     if not nj:
         raise BadArityError(f"N_{j}({xt}) is empty")
     eps = len(nj) ** (1.0 / j) / degree_profile(h).delta
@@ -538,8 +535,8 @@ def estimate_neighborhood_hit(
     """
     _check_trials(trials, p)
     xt = vertex_tuple(x)
-    nj = neighborhood(h, xt, j)
-    bound = _hit_bound(h, xt, j, nj)
+    bound = neighborhood_hit_bound(h, xt, j)
+    nj = neighborhood(h, xt, j)  # a lookup in the index h keeps
     # only an edge through a vertex of some Y can unmark it
     mat, sizes = h.arrays
     in_nj = ops.member(mat, ops.distinct(np.ravel(nj))) & ops.valid_mask(mat, sizes)

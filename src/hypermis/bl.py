@@ -149,18 +149,14 @@ class State:
         makes `mat` read-only."""
         mat.flags.writeable = False
         self.n = n
-        self.alive = alive
+        self.alive = self.verts = alive
         self.rows, self.built = mat, sizes
         self.cols = np.left_shift(1, sizes) - 1
         self.size = sizes.copy()
         self.bit = np.left_shift(1, np.arange(mat.shape[1]))
         self.m = len(sizes)
         self.nsize = np.bincount(sizes, minlength=mat.shape[1] + 1)
-        ids = mat[ops.valid_mask(mat, sizes)]
-        self._order = order = np.argsort(ids)
-        self.verts = alive
-        self.inc = np.repeat(np.arange(len(sizes)), sizes)[order]
-        self.ptr = np.searchsorted(ids[order], np.append(alive, n + 1))
+        self._order, self.inc, self.ptr = ops.incidence(mat, sizes, alive)
         self.counts: ops.SubsetCounts | None = None
         self._pair: tuple[int, int] | None = None
         self._pair_stale = True
@@ -319,8 +315,10 @@ class State:
 
 def vertex_array(vertex_set: Iterable[int] | None, n: int) -> np.ndarray:
     """Sorted distinct ids of `vertex_set` (all of 1..n for None) as int64;
-    ValueError names an id outside 1..n, which is no vertex."""
+    ValueError names an id outside 1..n, which is no vertex, or n = 2^63 - 1."""
     if vertex_set is None:
+        if n >= (1 << 63) - 1:
+            raise ValueError(f"cannot list the vertex ids 1..{n}: n + 1 must lie below 2^63")
         return np.arange(1, n + 1, dtype=np.int64)
     ids = sorted(set(vertex_set))
     if ids and (ids[0] < 1 or ids[-1] > n):

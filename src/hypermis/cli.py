@@ -156,7 +156,7 @@ def _cmd_solve(args) -> int:
     trace = ""
     extra = {}
     if args.algo == "greedy":
-        mis = greedy_mis(h, list(h.vertices))
+        mis = greedy_mis(h, bl.vertex_array(None, h.n).tolist())
         status = "ok"
     elif args.algo == "bl":
         res = bl.run_bl(h, _bl_config(args))

@@ -3,7 +3,8 @@
 Vertices are dense 1-based integer ids.  An edge is a set of ids; a
 vertex set is anything iterable of ids and is canonicalized to a sorted
 tuple at the boundaries.  A :class:`Hypergraph` is one read-only padded
-id matrix of :mod:`hypermis._edgeops`, and every query runs on it.  A
+id matrix of :mod:`hypermis._edgeops`, which every query reads, and keeps
+what is derived from all of it (degree profile, incidence index).  A
 subset of vertices is *independent* if it contains no edge entirely, and
 *maximal* if no further vertex can be added without swallowing an edge.
 
@@ -50,11 +51,12 @@ class Hypergraph:
     padded id matrix, :attr:`arrays`: row i holds edge i as sorted
     distinct ids, the rows in lexicographic edge order.  Duplicate edges
     are legal until :func:`normalize` collapses them; empty edges are
-    rejected outright.  :attr:`edges`, the rows as id tuples, is built on
-    first read; the queries and equality read the matrix.
+    rejected outright.  :attr:`edges` (the rows as id tuples),
+    :attr:`incidence` and :func:`degree_profile` are built on first read
+    and kept; the queries and equality read the matrix.
     """
 
-    __slots__ = ("n", "arrays", "_edges")
+    __slots__ = ("n", "arrays", "_edges", "_profile", "_index")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
@@ -70,7 +72,8 @@ class Hypergraph:
                 raise ValueError(f"edge {t} leaves the vertex range [1, {n}]")
             canon.append(t)
         h = self._from_rows(n, *ops.edge_matrix(canon))
-        self.n, self.arrays, self._edges = n, h.arrays, None
+        self.n, self.arrays = n, h.arrays
+        self._edges = self._profile = self._index = None
 
     @classmethod
     def _from_rows(cls, n: int, mat: np.ndarray, sizes: np.ndarray) -> Hypergraph:
@@ -86,7 +89,8 @@ class Hypergraph:
             mat, sizes = mat[order], sizes[order]
         mat.flags.writeable = sizes.flags.writeable = False
         h = cls.__new__(cls)
-        h.n, h.arrays, h._edges = n, (mat, sizes), None
+        h.n, h.arrays = n, (mat, sizes)
+        h._edges = h._profile = h._index = None
         return h
 
     @property
@@ -95,6 +99,14 @@ class Hypergraph:
         if self._edges is None:
             self._edges = tuple(ops.matrix_to_edges(*self.arrays))
         return self._edges
+
+    @property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(verts, rows, ptr): the rows holding id verts[k] are rows[ptr[k] : ptr[k + 1]]."""
+        if self._index is None:
+            verts = ops.distinct(self.arrays[0][self.arrays[0] > 0])  # 0 pads
+            self._index = (verts, *ops.incidence(*self.arrays, verts)[1:])
+        return self._index
 
     @property
     def m(self) -> int:
@@ -156,7 +168,8 @@ def induce(h: Hypergraph, vs: Iterable[int]) -> Hypergraph:
 
 
 def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...]]:
-    """All sets y of size j, disjoint from x, with x | y an edge.
+    """All sets y of size j, disjoint from x, with x | y an edge, read
+    from the rows holding x's first id (:attr:`Hypergraph.incidence`).
 
     Raises BadArityError when j is outside [1, dim - |x|].
     """
@@ -168,8 +181,12 @@ def neighborhood(h: Hypergraph, x: Iterable[int], j: int) -> list[tuple[int, ...
     ids, wide = _ids(xt)
     if wide:
         return []
+    verts, held, ptr = h.incidence  # not empty: dim > 0
+    # the rows holding x's first id, or if it is on no edge another id's, which hold no x
+    k = min(int(verts.searchsorted(ids[0])), len(verts) - 1)
     mat, sizes = h.arrays
-    rows = mat[sizes == len(xt) + j, : len(xt) + j]
+    near = held[ptr[k] : ptr[k + 1]]
+    rows = mat[near[sizes[near] == len(xt) + j], : len(xt) + j]
     in_x = ops.member(rows, ids)
     holds = in_x.sum(axis=1) == len(xt)
     ys = rows[holds][~in_x[holds]].reshape(-1, j)
@@ -199,15 +216,18 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     are read from :class:`hypermis._edgeops.SubsetCounts`, the counter
     the solvers keep, built on the edge matrix as it is (its subset keys
     are exact for any n).  An edge size with no edges gets delta_i 0.0.
+    The profile is kept on `h`, so a call returns the one object, read-only.
     """
-    mat, sizes = h.arrays
-    pairs = ops.SubsetCounts(mat, sizes, h.n).pairs(np.bincount(sizes))
-    if not pairs:
-        raise NoEdgesError("no edge of size >= 2")
-    delta_i = dict.fromkeys(range(2, h.dim + 1), 0.0)
-    delta_i.update((i, ops.degree_value(pair)) for i, pair in pairs.items())
-    best = ops.degree_value(ops.best_pair(pairs.values()))
-    return DegreeProfile(dim=h.dim, delta_i=delta_i, delta=best)
+    if h._profile is None:
+        mat, sizes = h.arrays
+        pairs = ops.SubsetCounts(mat, sizes, h.n).pairs(np.bincount(sizes))
+        if not pairs:
+            raise NoEdgesError("no edge of size >= 2")
+        delta_i = dict.fromkeys(range(2, h.dim + 1), 0.0)
+        delta_i.update((i, ops.degree_value(pair)) for i, pair in pairs.items())
+        best = ops.degree_value(ops.best_pair(pairs.values()))
+        h._profile = DegreeProfile(dim=h.dim, delta_i=delta_i, delta=best)
+    return h._profile
 
 
 def is_independent(h: Hypergraph, s: Iterable[int]) -> bool:
@@ -226,10 +246,7 @@ def is_maximal_independent(
     outside s, so it can only block vertices outside the range.
     """
     s, s_wide = _ids(s)
-    if vertices is None:
-        vs, vs_wide = np.arange(1, h.n + 1, dtype=np.int64), set()
-    else:
-        vs, vs_wide = _ids(vertices)
+    vs, vs_wide = (h.n, set()) if vertices is None else _ids(vertices)  # n: 1..n, unlisted
     if not vs_wide <= s_wide:  # an id on no edge, outside s, is never blocked
         return False
     return ops.is_maximal_on(*h.arrays, s, vs)

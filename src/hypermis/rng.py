@@ -14,6 +14,7 @@ vectorized.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -96,6 +97,12 @@ def uniform(key: int, counter: int) -> float:
     return (mix64(word ^ key) >> 11) * (2.0 ** -53)
 
 
+def _grid_words(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The mixed 64-bit words of :func:`uniform_grid`."""
+    rk = _mix64_array(np.asarray(rows, dtype=np.uint64) + np.uint64((key + _PHI) & _MASK))
+    return _mix64_array((np.asarray(cols, dtype=np.uint64) * np.uint64(_PHI)) ^ rk[:, None])
+
+
 def uniform_grid(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """len(rows) x len(cols) matrix of uniforms.
 
@@ -103,11 +110,15 @@ def uniform_grid(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     uniform for id cols[c] in that sub-key.  Used for Monte Carlo trials
     (rows = trial indices, cols = vertex ids).
     """
-    rk = _mix64_array(np.asarray(rows, dtype=np.uint64) + np.uint64((key + _PHI) & _MASK))
-    words = np.asarray(cols, dtype=np.uint64) * np.uint64(_PHI)
-    grid = _mix64_array(words[None, :] ^ rk[:, None])
-    grid >>= np.uint64(11)
-    return grid * (2.0 ** -53)
+    return (_grid_words(key, rows, cols) >> np.uint64(11)) * (2.0 ** -53)
+
+
+def mark_grid(key: int, rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
+    """uniform_grid(key, rows, cols) < p for p in (0, 1], from the words: w
+    gives (w >> 11) * 2^-53 < p iff w < ceil(p * 2^53) << 11 (p * 2^53 is
+    exact), a bound of 2^64 at p = 1, which every word is below."""
+    bound = math.ceil(p * 2.0 ** 53) << 11
+    return _grid_words(key, rows, cols) <= np.uint64(bound - 1)
 
 
 def _span(bound: int) -> int:

@@ -308,6 +308,32 @@ class TestInputErrors:
         assert err.startswith("error: line 1: vertex count must lie below 2^63")
 
 
+class TestLargestN:
+    """n = 2^63 - 1: verify checks maximality without listing 1..n, and a
+    solver that would list them exits 1 with an error naming n."""
+
+    N = 2**63 - 1
+
+    @pytest.fixture()
+    def big(self, tmp_path):
+        hg = tmp_path / "big.hg"
+        hg.write_text(f"{self.N} 2\n1 2\n2 3\n")
+        return hg
+
+    def test_verify_empty_set_is_not_maximal(self, big, tmp_path, capsys):
+        mis = tmp_path / "empty.json"
+        mis.write_text(json.dumps({"mis": []}))
+        code, out, _ = run_cli(["verify", str(big), str(mis)], capsys)
+        assert code == 1
+        assert out == "independent: true\nmaximal: false\n"
+
+    @pytest.mark.parametrize("algo", ["bl", "sbl", "greedy"])
+    def test_solve_is_exit_1(self, big, capsys, algo):
+        code, out, err = run_cli(["solve", str(big), "--algo", algo, "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("error: ") and str(self.N) in err.splitlines()[-1]
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

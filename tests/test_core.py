@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     naive_is_maximal,
     naive_neighborhood,
 )
+from test_perfbench_digests import load_workloads
 from hypermis import _edgeops as ops
 from hypermis._edgeops import deg_less
 from hypermis.core import (
@@ -32,7 +34,7 @@ from hypermis.core import (
     parse_hg,
     vertex_tuple,
 )
-from hypermis.bl import BlConfig, run_bl
+from hypermis.bl import BlConfig, run_bl, vertex_array
 from hypermis.generate import KIND_LINEAR, KIND_MIXED, KIND_UNIFORM, GenSpec, gen
 from hypermis.sbl import SblConfig, run_sbl
 
@@ -316,6 +318,81 @@ class TestIdsPastInt64:
             assert neighborhood(H0, x, j) == naive_neighborhood(H0, x, j) == []
         with pytest.raises(BadArityError):
             neighborhood(H0, [2**70], 3)
+
+
+class TestCaches:
+    """A Hypergraph keeps its degree profile and its incidence index once
+    read; neither changes an answer, equality or the hash."""
+
+    def test_degree_profile_is_kept(self):
+        h = gen(GenSpec(n=40, kind=KIND_UNIFORM, seed=3, m=60, dim=3))
+        prof = degree_profile(h)
+        assert degree_profile(h) is prof
+        assert degree_profile(Hypergraph._from_rows(h.n, *h.arrays)) == prof
+        with pytest.raises(NoEdgesError):  # nothing to keep
+            degree_profile(Hypergraph(3, [(1,), (2,)]))
+
+    def test_one_subset_count_per_workbench_pass(self):
+        # the pass reads the profile five times (itself, the potential
+        # ladder and each of three lemma-2 bounds), on one hypergraph
+        workloads = load_workloads()
+        work = workloads.Workload("workbench-mc", workloads.load_design()["workloads"]["workbench-mc"])
+        h = work.setup(work.instance_seeds(1)[0])
+        fresh = Hypergraph._from_rows(h.n, *h.arrays)
+        with mock.patch.object(ops, "SubsetCounts", side_effect=ops.SubsetCounts) as counts:
+            first = workloads.workbench_pass(h, 5, 200, 8, 3, 32)
+            assert counts.call_count == 1
+            again = workloads.workbench_pass(h, 5, 200, 8, 3, 32)
+            assert counts.call_count == 1
+            other = workloads.workbench_pass(fresh, 5, 200, 8, 3, 32)
+            assert counts.call_count == 2
+        assert repr(first) == repr(again) == repr(other)
+
+    def test_equality_and_hash_ignore_the_caches(self):
+        edges = [(1, 2, 3), (2, 3, 4), (1, 4), (3, 5)]
+        filled, empty = Hypergraph(5, edges), Hypergraph(5, reversed(edges))
+        assert filled == empty and hash(filled) == hash(empty)
+        degree_profile(filled)
+        neighborhood(filled, [2], 1)
+        assert filled.edges and filled._index is not None and filled._profile is not None
+        assert empty._index is None and empty._profile is None and empty._edges is None
+        assert filled == empty and empty == filled and hash(filled) == hash(empty)
+        assert filled != Hypergraph(5, edges[:3]) and filled != Hypergraph(6, edges)
+
+
+class TestLargestN:
+    """n = 2^63 - 1, the largest n a Hypergraph takes: 1..n is never
+    listed by a check, and listing it is an error that names n."""
+
+    TOP = (1 << 63) - 1
+
+    def test_default_range_is_checked_by_counting(self):
+        n = self.TOP
+        h = Hypergraph(n, [(1, 2), (2, 3)])
+        assert is_independent(h, [])
+        assert not is_maximal_independent(h, [])
+        assert not is_maximal_independent(h, [1, 3, n])
+        assert is_maximal_independent(h, [1, 3, n], [1, 2, 3, n])
+        small = Hypergraph(3, [(1, 2), (2, 3)])
+        assert is_maximal_independent(small, [1, 3, 0, 4, -5])
+        assert not is_maximal_independent(small, [1, 0, 4])
+
+    def test_listing_1_to_n_names_n(self):
+        n = self.TOP
+        assert vertex_array(None, 4).tolist() == [1, 2, 3, 4] and not len(vertex_array(None, 0))
+        h = Hypergraph(n, [(1, 2), (2, 3)])
+        for call, args in [(vertex_array, (None, n)), (run_bl, (h, BlConfig(seed=1))),
+                           (run_sbl, (h, SblConfig(seed=1)))]:
+            with pytest.raises(ValueError, match=str(n)):
+                call(*args)
+
+    def test_marking_next_to_n(self):
+        # the four largest ids on adjacent edges, alive with id 1
+        n = self.TOP
+        h = Hypergraph(n, [(n - 3, n - 2), (n - 2, n - 1), (n - 1, n), (1, n)])
+        res = run_bl(h, BlConfig(seed=3), vertex_set=[1, n - 3, n - 2, n - 1, n])
+        assert res.status == "ok"
+        assert is_maximal_independent(h, res.mis, [1, n - 3, n - 2, n - 1, n])
 
 
 class TestHgFormat:

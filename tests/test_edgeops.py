@@ -202,13 +202,45 @@ def test_is_maximal_independent_matches_naive(h, data):
 
 
 @seed(1405_1133)
-@given(hypergraphs(), st.data())
+@given(hypergraphs(ns=(8, 300, 4096, WIDE_N, *TOP_NS)), st.data())
 def test_neighborhood_matches_naive(h, data):
-    x = data.draw(st.lists(st.sampled_from(list(ranks(h))), min_size=1, max_size=3, unique=True))
+    # x's ids mostly on edges, sometimes one in no edge (the first id,
+    # whose rows are read, or another), up to n = 2^63 - 1
+    x = data.draw(
+        st.lists(st.sampled_from(list(ranks(h))) | st.integers(1, h.n), min_size=1, max_size=3,
+                 unique=True)
+    )
     if h.dim <= len(x):
         return
     j = data.draw(st.integers(1, h.dim - len(x)))
     assert neighborhood(h, x, j) == naive_neighborhood(h, x, j)
+    assert neighborhood(h, x, j) == naive_neighborhood(h, x, j)  # from the kept index
+
+
+TOP = 2 ** 63 - 1
+
+
+@seed(1405_1133)
+@given(hypergraphs(ns=(8, 300, 4096, WIDE_N, *TOP_NS)))
+# the four largest ids side by side: no sentinel past n can end their lists
+@example(Hypergraph(TOP, [(TOP - 3, TOP - 2), (TOP - 2, TOP - 1), (TOP - 1, TOP), (1, TOP)]))
+def test_incidence_lists_match_brute_force(h):
+    # the hypergraph's index over the ids on its edges, and a state's over
+    # its vertex set, which adds ids on no edge (1 and n)
+    verts, rows, ptr = h.incidence
+    assert verts.tolist() == sorted(ranks(h))
+    for k, v in enumerate(verts.tolist()):
+        assert sorted(rows[ptr[k] : ptr[k + 1]].tolist()) == [
+            i for i, e in enumerate(h.edges) if v in e
+        ]
+    vertex_set = sorted({1, h.n, *ranks(h)})
+    state = make_state(h, vertex_set)
+    built = ops.matrix_to_edges(state.rows, state.built)
+    for k, v in enumerate(state.verts.tolist()):
+        assert sorted(state.inc[state.ptr[k] : state.ptr[k + 1]].tolist()) == [
+            i for i, e in enumerate(built) if v in e
+        ]
+    assert run_bl(h, BlConfig(seed=3), vertex_set=vertex_set).status == "ok"
 
 
 @seed(1405_1133)

@@ -49,13 +49,13 @@ def outcome(fn, *args):
 def drawing(fn, *args):
     """outcome(fn, *args) and the (key, trial counter, id) of each coin it
     draws, checking that no coin is drawn twice."""
-    drawn, uniform_grid = [], rng.uniform_grid
+    drawn, mark_grid = [], rng.mark_grid
 
-    def logged(key, rows, cols):
+    def logged(key, rows, cols, p):
         drawn.extend((key, t, v) for t in rows.tolist() for v in cols.tolist())
-        return uniform_grid(key, rows, cols)
+        return mark_grid(key, rows, cols, p)
 
-    with mock.patch.object(an.rng, "uniform_grid", logged):
+    with mock.patch.object(an.rng, "mark_grid", logged):
         got = outcome(fn, *args)
     assert len(set(drawn)) == len(drawn)
     return got, drawn
@@ -198,7 +198,7 @@ def test_tail_at_or_above_the_total_draws_no_coin(m, p):
     if m == 3:
         assert total == 0.6000000000000001
     want = ref.tail_experiment(wh, p, total, 50, 7)
-    with mock.patch.object(an.rng, "uniform_grid", side_effect=CoinDrawn):
+    with mock.patch.object(an.rng, "mark_grid", side_effect=CoinDrawn):
         assert an.tail_experiment(wh, p, total, 50, 7) == want
         assert an.tail_experiment(wh, p, math.inf, 50, 7).exceed_count == 0
         with pytest.raises(CoinDrawn):
@@ -218,7 +218,7 @@ def test_tail_below_zero(p):
     wh, _ = summed_weights(20)
     want = [ref.tail_experiment(wh, p, t, 50, 7) for t in (-1.0, -0.0)]
     assert want[0].exceed_count == 50
-    with mock.patch.object(an.rng, "uniform_grid", side_effect=CoinDrawn):
+    with mock.patch.object(an.rng, "mark_grid", side_effect=CoinDrawn):
         assert an.tail_experiment(wh, p, -1.0, 50, 7) == want[0]
     got, drawn = drawing(an.tail_experiment, wh, p, -0.0, 50, 7)
     assert got == want[1] and drawn

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from hypermis import rng
@@ -68,3 +70,22 @@ def test_sample_ids_replays_randbelow():
                     chosen.add(1 + ref.randbelow(n))
                 assert s.sample_ids(n, k) == tuple(sorted(chosen))
                 assert s.counter == ref.counter
+
+
+def test_mark_grid_is_uniform_grid_below_p():
+    # the marks compare the mixed words with an integer bound; they must be
+    # the uniforms' comparison exactly, at p = 1, at the bound's edge cases
+    # (one and a half grid steps, the smallest double) and at the very
+    # uniforms drawn and the doubles next to them, with ids up to 2^63 - 1
+    # and trial counters up to 2^40
+    key = rng.derive_key(21, rng.TAG_TRIAL)
+    rows = np.array([0, 1, 7, 2**20, 2**40 - 1, 2**40], dtype=np.int64)
+    cols = np.array([1, 2, 3, 1000, 2**62, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+    grid = rng.uniform_grid(key, rows, cols)
+    ps = [1.0, 0.5, math.nextafter(0.5, 0), 2**-53, 3 * 2**-54, 5e-324, 1 / 3, 0.02]
+    for u in grid.ravel().tolist():
+        ps += [p for p in (u, math.nextafter(u, 0), math.nextafter(u, 1)) if 0 < p <= 1]
+    for p in ps:
+        assert np.array_equal(rng.mark_grid(key, rows, cols, p), grid < p), p
+    assert rng.mark_grid(key, rows, cols, 1.0).all()
+    assert rng.mark_grid(key, rows[:0], cols, 0.5).shape == (0, len(cols))

@@ -8,10 +8,13 @@ The pass is perfbench's ``workbench-mc`` operation (``workbench_pass``
 in ``perfbench/workloads.py``), on that workload's instance for the
 workload seed ``--seed`` and with its Monte Carlo seed.  The library
 calls the pass makes are wrapped by module attribute and timed
-(``perf_counter``), ``rng.uniform_grid`` is wrapped to count the coin
-cells (trials x ids) each part draws, and ``analysis._mark_chunks`` to
+(``perf_counter``), ``rng.mark_grid`` is wrapped to count the coin
+cells (trials x ids) each part draws, ``analysis._mark_chunks`` to
 count the trials that pass an estimator's gate and so draw all their
-coins (the widths of the mark matrices it yields).  The parts:
+coins (the widths of the mark matrices it yields), and
+``_edgeops.SubsetCounts`` to count its builds.  Every pass runs on a
+fresh copy of the instance, so no pass reads what a hypergraph kept from
+an earlier one (its degree profile and incidence index).  The parts:
 
 - degree profile: ``core.degree_profile`` and ``analysis.potential_report``;
 - constants: ``analysis.kelsen_constants`` and ``analysis.eval_D`` (the
@@ -24,7 +27,8 @@ coins (the widths of the mark matrices it yields).  The parts:
 
 One pass runs untimed (warm-up), then ``--reps`` timed passes; each part
 prints its median ms over the passes, and its coin cells and fully drawn
-trials per pass, which repeat exactly.  Imports hypermis from the
+trials per pass, which repeat exactly, and the last line the
+``SubsetCounts`` builds per pass.  Imports hypermis from the
 ``src/`` and the pass from the ``perfbench/`` beside this directory, so a
 copy of the script in another checkout measures that checkout.  Not collected by pytest (the name does
 not start with ``test_``).
@@ -43,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from hypermis import analysis, core, rng  # noqa: E402
+from hypermis import _edgeops, analysis, core, rng  # noqa: E402
 import workloads  # noqa: E402
 
 PARTS = {
@@ -66,6 +70,7 @@ class Meter:
         self.seconds = defaultdict(float)
         self.cells = defaultdict(int)
         self.drawn = defaultdict(int)
+        self.builds = 0
         self.part = None
         self.saved = []
 
@@ -81,9 +86,15 @@ class Meter:
         return wrapper
 
     def _counted(self, fn):
-        def wrapper(key, rows, cols):
+        def wrapper(key, rows, cols, p):
             self.cells[self.part or "other"] += len(rows) * len(cols)
-            return fn(key, rows, cols)
+            return fn(key, rows, cols, p)
+        return wrapper
+
+    def _built(self, cls):
+        def wrapper(*args):
+            self.builds += 1
+            return cls(*args)
         return wrapper
 
     def _passing(self, fn):
@@ -97,8 +108,10 @@ class Meter:
         for (mod, name), part in PARTS.items():
             self.saved.append((mod, name, getattr(mod, name)))
             setattr(mod, name, self._timed(part, getattr(mod, name)))
-        self.saved.append((rng, "uniform_grid", rng.uniform_grid))
-        rng.uniform_grid = self._counted(rng.uniform_grid)
+        self.saved.append((rng, "mark_grid", rng.mark_grid))
+        rng.mark_grid = self._counted(rng.mark_grid)
+        self.saved.append((_edgeops, "SubsetCounts", _edgeops.SubsetCounts))
+        _edgeops.SubsetCounts = self._built(_edgeops.SubsetCounts)
         self.saved.append((analysis, "_mark_chunks", analysis._mark_chunks))
         analysis._mark_chunks = self._passing(analysis._mark_chunks)
 
@@ -106,6 +119,11 @@ class Meter:
         for mod, name, fn in reversed(self.saved):
             setattr(mod, name, fn)
         self.saved.clear()
+
+
+def fresh(h: core.Hypergraph) -> core.Hypergraph:
+    """The hypergraph of the same rows, with nothing derived from them kept."""
+    return core.Hypergraph._from_rows(h.n, *h.arrays)
 
 
 def parse_args(argv):
@@ -122,14 +140,15 @@ def main(argv=None) -> int:
     work = workloads.Workload(name, workloads.load_design()["workloads"][name])
     seeds = work.instance_seeds(args.seed)
     h = work.setup(seeds[args.index % len(seeds)])
-    work.run(h, args.seed, args.index)  # warm-up
+    work.run(fresh(h), args.seed, args.index)  # warm-up
     passes = []
     for _ in range(args.reps):
         meter = Meter()
+        copy = fresh(h)
         meter.install()
         try:
             start = time.perf_counter()
-            work.run(h, args.seed, args.index)
+            work.run(copy, args.seed, args.index)
             total = time.perf_counter() - start
         finally:
             meter.uninstall()
@@ -143,6 +162,7 @@ def main(argv=None) -> int:
         counts = [passes[0].cells, passes[0].drawn]
         cells, drawn = (sum(c.values()) if part == "pass" else c[part] for c in counts)
         print(f"{part:16s} {ms:9.2f} {cells:12d} {drawn:13d}")
+    print(f"SubsetCounts builds per pass: {passes[0].builds}")
     return 0
 
 
