@@ -7,7 +7,8 @@ Kernels keep rows sorted and never write to their input, which they may
 return as is; the one stateful piece is :class:`SubsetCounts`, which
 numbers the rows' proper subsets: its count tables give every degree pair
 (the marking solver moves each changed row from its old column mask, the
-columns of the row as built it still holds, to its new one;
+columns of the row as built it still holds, to its new one, reading the
+masks' submasks from lists built once per width, :func:`_submasks`;
 :func:`hypermis.core.degree_profile` and :func:`max_norm_degree` count
 from scratch), and its holder lists the solver's containment search.
 
@@ -164,6 +165,40 @@ def _combos(s: int, t: int) -> np.ndarray:
     return idx
 
 
+_LIST_BITS = 12  # the widest submask list: 3^12 entries, 2 MiB
+
+
+@cache
+def _submasks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ptr, subs, table): the submasks of each mask m below 2^width are
+    subs[ptr[m] : ptr[m + 1]], 2^popcount(m) of them, 0 first and m last;
+    m of s bits and subs[e] of t give table[e] = (s - 1)(s - 2) / 2 - 1 +
+    t, the number of the count table (s, t) in :class:`SubsetCounts` for
+    0 < t < s.  3^width entries, read-only, in narrow dtypes.
+
+    Built one bit at a time: the list of m | bit, for m below bit, is
+    that of m followed by each of its entries with bit set.
+    """
+    idx = np.int32 if 3 ** width < 2 ** 31 else np.int64
+    ptr, subs = np.array([0, 1], dtype=idx), np.zeros(1, np.uint16 if width <= 16 else np.uint32)
+    for b in range(width):
+        cnt = np.diff(ptr)
+        mask = np.repeat(np.arange(len(cnt), dtype=idx), cnt)  # of each entry
+        at = np.arange(len(subs), dtype=idx) + ptr[mask]  # 2 ptr[m] + its place in m's list
+        high = np.empty(2 * len(subs), dtype=subs.dtype)
+        high[at] = subs
+        high[at + cnt[mask]] = subs | (1 << b)
+        ptr = np.concatenate([ptr[:-1], len(subs) + 2 * ptr])
+        subs = np.concatenate([subs, high])
+    s = np.bitwise_count(np.arange(1 << width)).astype(np.int16)
+    table = np.repeat((s - 1) * (s - 2) // 2 - 1, np.diff(ptr))
+    table += np.bitwise_count(subs)
+    ptr = ptr.astype(np.intp)
+    for a in ptr, subs, table:
+        a.flags.writeable = False
+    return ptr, subs, table
+
+
 def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
     """Every t-subset of each row of a (k, s) matrix, as a (t, C(s, t) * k)
     matrix of columns: subset number j of row i sits at column j * k + i."""
@@ -265,28 +300,29 @@ class SubsetCounts:
     among the t-subsets of all rows at construction, so only subsets of
     those rows can be counted, which holds while rows only shrink.  The
     subset of row i over the columns of submask u has number
-    sub[first[i] + u * step[i]]: the rows of each size s (owners[s]) keep
-    their numbers in one block of `sub`, 2^s runs of one entry per row,
-    of which the runs of the proper non-empty u are used.  The table of
-    each (s, t) in `tables`, number table_of[s, t], holds one count per
-    t-subset, the number of counted rows of size s holding it; the tables
-    lie end to end in `count`, table i from starts[i]; every table is
-    non-empty, and :meth:`pairs` reads each table's largest count when it
-    is asked.  The holder lists of :meth:`holders` invert the numbering;
-    they are built on first read, so a one-shot count lists no holders.
+    sub[first[i] + u]: a row of size s keeps 2^s entries of `sub`, one
+    per u, of which those of the proper non-empty u are used, and the
+    rows of each size (owners[s]) lie in one block.  The table of each
+    (s, t) in `tables`, number (s - 1)(s - 2) / 2 - 1 + t, holds one
+    count per t-subset, the number of counted rows of size s holding it;
+    the tables lie end to end in `count`, table i from starts[i]; every
+    table is non-empty, and :meth:`pairs` reads each table's largest
+    count when it is asked.  A row moves by the proper non-empty
+    submasks of its old and new masks, read from the lists of
+    :func:`_submasks`, so its cost is their number, not 2^s per mask.
+    The holder lists of :meth:`holders` invert the numbering; they are
+    built on first read, so a one-shot count lists no holders.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
         present = np.flatnonzero(np.bincount(sizes)).tolist()
         width = max(present, default=1)
-        self.size = sizes
+        self.size, self.width = sizes, width
         self.first = np.zeros(len(sizes), dtype=np.intp)
-        self.step = np.zeros(len(sizes), dtype=np.intp)
         self.owners, end = {}, 0
         for s in present:
             self.owners[s] = i = np.flatnonzero(sizes == s)
-            self.first[i] = end + np.arange(len(i))
-            self.step[i] = len(i)
+            self.first[i] = end + (np.arange(len(i)) << s)
             end += len(i) << s
         self.sub = np.zeros(end, dtype=np.intp)
         nkeys, blocks = [0], {}
@@ -301,19 +337,16 @@ class SubsetCounts:
             for s, part in zip(larger, np.split(ids, cuts)):
                 # subset j of the k size-s rows is part[j * k : (j + 1) * k]
                 k, lo = len(self.owners[s]), self.first[self.owners[s][0]]
-                runs = self.sub[lo : lo + (k << s)].reshape(1 << s, k)
-                runs[np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k)
+                runs = self.sub[lo : lo + (k << s)].reshape(k, 1 << s)
+                runs[:, np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k).T
                 blocks[s, t] = np.bincount(part, minlength=len(keys))
         self.nkeys = nkeys  # nkeys[t] t-subsets
         self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
         self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
-        self.table_of = np.zeros((width + 1, width), dtype=np.intp)
         self.count = np.zeros(self.starts[-1], dtype=np.intp)
-        for i, (s, t) in enumerate(self.tables):
-            self.table_of[s, t] = i
-        for (s, t), block in blocks.items():
-            lo = self.starts[self.table_of[s, t]]
-            self.count[lo : lo + len(block)] = block
+        for lo, table in zip(self.starts, self.tables):
+            if table in blocks:
+                self.count[lo : lo + len(blocks[table])] = blocks[table]
 
     @cached_property
     def _holder_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -322,8 +355,8 @@ class SubsetCounts:
         below = np.cumsum([0, *self.nkeys])
         ptr, rows = np.zeros(below[-1] + 1, dtype=np.intp), [np.zeros(0, dtype=np.intp)]
         for t in range(1, len(self.nkeys)):  # one subset size at a time, to bound temporaries
-            # the t-subsets of the k size-s rows i: runs u of t bits, sub[first[i] + u * k]
-            at = [(i, np.add.outer(np.left_shift(1, _combos(s, t)).sum(axis=0) * len(i),
+            # the t-subsets of the size-s rows i: sub[first[i] + u], u of t bits
+            at = [(i, np.add.outer(np.left_shift(1, _combos(s, t)).sum(axis=0),
                                    self.first[i]).ravel())
                   for s, i in self.owners.items() if s > t]
             num = self.sub[np.concatenate([a for _, a in at])]
@@ -337,27 +370,43 @@ class SubsetCounts:
         row rows[k] over its proper non-empty column submask masks[k] (a
         row equal to it is not listed; normalized rows hold none)."""
         ptr, held, below = self._holder_lists
-        g = self.sub[self.first[rows] + masks * self.step[rows]]
+        g = self.sub[self.first[rows] + masks]
         return csr_gather(ptr, held, below[np.bitwise_count(masks)] + g)
 
     def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Move each of the distinct rows `rows` from column mask old[i]
         to new[i] (0 for a row that leaves): uncount the subsets over the
-        old columns and count those over the new."""
+        old columns and count those over the new, one per proper
+        non-empty submask.  The submasks come from the list of the row
+        width, or for wider rows from that of the low _LIST_BITS bits,
+        joined with each submask of the high bits."""
+        low = min(self.width, _LIST_BITS)
+        ptr, subs, table = _submasks(low)
         masks = np.concatenate([old, new])
         rows = np.concatenate([rows, rows])
-        span = np.left_shift(1, self.size[rows]) - 2
-        # u from 1 to 2^(size at construction) - 2 for each (row, mask):
-        # the proper non-empty submasks of the mask are its subsets
-        which = np.repeat(np.arange(len(masks)), span)
-        u = np.arange(1, len(which) + 1) - np.repeat(np.cumsum(span) - span, span)
-        mask = masks[which]
-        keep = ((u & ~mask) == 0) & (u != mask)
-        which, u = which[keep], u[keep]
-        row = rows[which]
-        table = self.table_of[np.bitwise_count(mask[keep]), np.bitwise_count(u)]
-        found = self.starts[table] + self.sub[self.first[row] + u * self.step[row]]
-        np.add.at(self.count, found, np.where(which < len(old), -1, 1))
+        part, base, nold = masks, self.first[rows], len(old)
+        skip_first = skip_last = 1  # the proper non-empty submasks: not 0, not m
+        if self.width > low:
+            # a mask m wider than the lists: each submask h of its high bits
+            # joins each submask of its low bits, but for h = 0 not 0, and
+            # for h = m's high bits not m's low bits
+            top = masks >> low
+            k, h = csr_gather(*_submasks(self.width - low)[:2], top)
+            part, top, nold = masks[k] & ((1 << low) - 1), top[k], (k < nold).sum()
+            base = base[k] + (h.astype(np.intp) << low)
+            skip_first, skip_last = h == 0, h == top
+            s, t = (np.bitwise_count(x).astype(np.intp) for x in (masks[k], part))
+            shift = (s - 1) * (s - 2) // 2 - (t - 1) * (t - 2) // 2 + np.bitwise_count(h)
+        # entries lo .. lo + cnt - 1 of the list for each (row, mask, h)
+        lo = ptr[part] + skip_first
+        cnt = np.maximum(ptr[part + 1] - skip_last - lo, 0)
+        at = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        num = np.repeat(base, cnt) + subs[at]
+        tab = table[at] if self.width == low else table[at] + np.repeat(shift, cnt)
+        found = self.starts[tab] + self.sub[num]
+        split = cnt[:nold].sum()  # the old masks' entries come first
+        np.subtract.at(self.count, found[:split], 1)
+        np.add.at(self.count, found[split:], 1)
 
     def pairs(self, nsize: np.ndarray) -> dict[int, tuple[int, int]]:
         """Best (count, j) pair of each edge size s >= 2 among the counted

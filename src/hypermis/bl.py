@@ -31,11 +31,16 @@ binary searches: the state numbers the vertex of each entry of its rows,
 so the cleanup finds the committed ids of the rows it touches by reading
 a flag per vertex number, and a test of rows against rows reads a flag
 per row.  A round whose marks lie in no row, with no singleton edge
-left, changes only the vertex set.  The sampling solver
-runs its rounds on the same state, which numbers only the pairs of its
-rows, however wide, and its inner marking runs on the induced rows,
-compacted.  A run on a Hypergraph checks its result once, against the
-input, with :func:`hypermis.core.is_maximal_independent`.
+left, changes only the vertex set, and delta and p stay as they are; so
+after such a round the coins of a block of rounds are drawn as one grid
+(row r keyed as round r's own coins), the leading rounds that change no
+row only get their records, and the first that does runs as usual.  The
+block doubles from 1 while its rounds change no row and is cut at the
+round cap and at _BLOCK_CELLS coins.  The sampling solver runs its
+rounds on the same state, which numbers only the pairs of its rows,
+however wide, and its inner marking runs on the induced rows, compacted.
+A run on a Hypergraph checks its result once, against the input, with
+:func:`hypermis.core.is_maximal_independent`.
 
 Randomness is counter-based on (seed, round, vertex id): results are
 bit-identical no matter how marking is scheduled.
@@ -46,8 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -61,6 +65,8 @@ P_MODE_RECOMPUTE = "recompute"  # probability refreshed every round
 
 STATUS_OK = "ok"
 STATUS_ROUND_LIMIT = "round-limit-exceeded"
+
+_BLOCK_CELLS = 1 << 16  # coins (rounds x alive ids) drawn for one block of rounds
 
 
 def default_max_rounds(n: int) -> int:
@@ -160,6 +166,7 @@ class State:
         self.counts: ops.SubsetCounts | None = None
         self._pair: tuple[int, int] | None = None
         self._pair_stale = True
+        self.moves = 0  # updates that changed rows
 
     @property
     def mat(self) -> np.ndarray:
@@ -230,6 +237,7 @@ class State:
         if self.counts is not None and old_size.max() >= 2:  # singletons count nothing
             self.counts.recount(rows, old, self.cols[rows])
         self._pair_stale = True
+        self.moves += 1
 
     @cached_property
     def _pair_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -315,11 +323,16 @@ class State:
 
 def vertex_array(vertex_set: Iterable[int] | None, n: int) -> np.ndarray:
     """Sorted distinct ids of `vertex_set` (all of 1..n for None) as int64;
-    ValueError names an id outside 1..n, which is no vertex, or n = 2^63 - 1."""
+    ValueError names an id outside 1..n, which is no vertex, or an n whose
+    1..n one array cannot hold."""
     if vertex_set is None:
-        if n >= (1 << 63) - 1:
-            raise ValueError(f"cannot list the vertex ids 1..{n}: n + 1 must lie below 2^63")
-        return np.arange(1, n + 1, dtype=np.int64)
+        try:
+            ids = np.arange(1, n + 1, dtype=np.int64)
+        except ValueError:  # numpy's "array is too big"
+            ids = np.zeros(0, dtype=np.int64)
+        if len(ids) != n:  # from n = 2^63 - 2 on, numpy's range comes out empty
+            raise ValueError(f"cannot list the vertex ids 1..{n}: too many for one array")
+        return ids
     ids = sorted(set(vertex_set))
     if ids and (ids[0] < 1 or ids[-1] > n):
         bad = ids[0] if ids[0] < 1 else ids[-1]
@@ -351,11 +364,11 @@ def _round_p(state: State, cfg: BlConfig, frozen: tuple[float, float] | None):
     return delta, 1.0 / (2 ** (d + 1) * delta)
 
 
-def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
-    """One mark/unmark/cleanup round on `state`, in place, with the coin
-    function `coins`, ids -> uniforms.  Returns its record."""
+def _mark_round(state: State, marked: np.ndarray, p: float, delta: float, rnd: int):
+    """One mark/unmark/cleanup round on `state`, in place, in which the
+    alive ids `marked` (sorted) are marked.  Returns its record and the
+    ids it added to the independent set."""
     alive = state.alive
-    marked = alive[coins(alive) < p]
     # one incidence gather: the fully marked rows, whose ids are unmarked,
     # and then the rows holding a vertex that stays marked, which the
     # cleanup shrinks
@@ -383,7 +396,33 @@ def _mark_round(state: State, p: float, coins, delta: float, rnd: int):
         remaining_edges=state.m,
         delta=delta,
         p_used=p,
-    )
+    ), added
+
+
+def _quiet_rounds(state: State, marks: np.ndarray, rnd: int, p: float, delta: float):
+    """Run the leading rounds of a block that change no row: marks[r] marks
+    the alive ids of round rnd + r.  The block follows a round, which
+    leaves no singleton row, so a round changes no row when no id it
+    marks lies in a live row; it commits the ids it marks first and
+    leaves delta, p and the rows as they are.  Returns the records of
+    those rounds, the ids they commit, and the ids that the first other
+    round marks, among those still alive (None if every round is quiet)."""
+    alive = state.alive
+    first = marks.argmax(axis=0)  # the round that marks each id first
+    hit = np.flatnonzero(marks[first, np.arange(len(alive))])
+    k, _ = state.incidences(alive[hit])
+    busy = int(first[hit[k]].min(initial=len(marks)))
+    done = hit[first[hit] < busy]  # ids in no live row, committed before round busy
+    done = done[np.argsort(first[done], kind="stable")]
+    ids, records, start = alive[done], [], 0
+    flat = ids.tolist()
+    for r, end in enumerate(np.cumsum(np.bincount(first[done], minlength=busy)).tolist()):
+        marked, start = tuple(flat[start:end]), end
+        left = len(alive) - end
+        records.append(BlRoundRecord(rnd + r, marked, (), marked, left, state.m, delta, p))
+    gone = ops.flags(len(alive), done)
+    state.alive = alive[~gone]
+    return records, ids, None if busy == len(marks) else alive[marks[busy] & ~gone]
 
 
 def run_bl(
@@ -409,7 +448,10 @@ def run_bl(
     if cfg.p_mode == P_MODE_FIXED and state.m:
         frozen = _round_p(state, cfg, None)
 
+    key = rng.derive_key(cfg.seed, rng.TAG_BL_MARK)  # round r's coins: rng.fold(key, r)
     records: list[BlRoundRecord] = []
+    added = [vertices[:0]]  # the ids each round commits
+    block = 1  # rounds drawn at once: doubles while rounds change no row
     while len(state.alive) and len(records) < max_rounds:
         rnd = len(records)
         if state.m == 0:
@@ -426,14 +468,29 @@ def run_bl(
                     p_used=1.0,
                 )
             )
+            added.append(state.alive)
             state.alive = state.alive[:0]
             break
         delta, p = _round_p(state, cfg, frozen)
-        coins = partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        records.append(_mark_round(state, p, coins, delta, rnd))
+        size = min(block, max_rounds - rnd, max(_BLOCK_CELLS // len(state.alive), 1))
+        if size == 1:
+            marked = state.alive[rng.marks(rng.fold(key, rnd), state.alive, p)]
+        else:
+            marks = rng.mark_grid(key, np.arange(rnd, rnd + size), state.alive, p)
+            quiet, ids, marked = _quiet_rounds(state, marks, rnd, p, delta)
+            records += quiet
+            added.append(ids)
+            if marked is None:
+                block *= 2
+                continue
+        moves = state.moves
+        rec, ids = _mark_round(state, marked, p, delta, len(records))
+        records.append(rec)
+        added.append(ids)
+        block = 1 if state.moves > moves else 2 * block
 
     status = STATUS_OK if len(state.alive) == 0 else STATUS_ROUND_LIMIT
-    mis = tuple(sorted(chain.from_iterable(rec.added for rec in records)))
+    mis = tuple(np.sort(np.concatenate(added)).tolist())
     checked = status == STATUS_OK and isinstance(h, Hypergraph)
     if checked and not is_maximal_independent(h, mis, vertices):
         raise InternalInvariantError("marking solver produced a non-maximal set")

@@ -91,6 +91,18 @@ def uniforms(key: int, ids: np.ndarray) -> np.ndarray:
     return (_words(key, ids) >> np.uint64(11)) * (2.0 ** -53)
 
 
+def _top_word(p: float) -> np.uint64:
+    """The largest word w that :func:`uniforms` maps below p, for p in (0,
+    1]: (w >> 11) * 2^-53 < p iff w < ceil(p * 2^53) << 11 (p * 2^53 is
+    exact), a bound of 2^64 at p = 1, which every word is below."""
+    return np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)
+
+
+def marks(key: int, ids: np.ndarray, p: float) -> np.ndarray:
+    """uniforms(key, ids) < p for p in (0, 1], from the words."""
+    return _words(key, ids) <= _top_word(p)
+
+
 def uniform(key: int, counter: int) -> float:
     """Scalar counterpart of :func:`uniforms`."""
     word = ((counter & _MASK) * _PHI) & _MASK
@@ -114,11 +126,8 @@ def uniform_grid(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def mark_grid(key: int, rows: np.ndarray, cols: np.ndarray, p: float) -> np.ndarray:
-    """uniform_grid(key, rows, cols) < p for p in (0, 1], from the words: w
-    gives (w >> 11) * 2^-53 < p iff w < ceil(p * 2^53) << 11 (p * 2^53 is
-    exact), a bound of 2^64 at p = 1, which every word is below."""
-    bound = math.ceil(p * 2.0 ** 53) << 11
-    return _grid_words(key, rows, cols) <= np.uint64(bound - 1)
+    """uniform_grid(key, rows, cols) < p for p in (0, 1], from the words."""
+    return _grid_words(key, rows, cols) <= _top_word(p)
 
 
 def _span(bound: int) -> int:

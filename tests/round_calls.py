@@ -17,17 +17,21 @@ calls per round is the profile's total ``ncalls`` (primitive and
 recursive) over all rounds.  Two lines split the round by layer, from
 the same profile: ``self_ms_per_round`` is the own time (``tottime``)
 and ``cum_ms_per_round`` the time with callees (``cumtime``) of the
-methods in ``LAYERS``, of ``rng.uniforms`` and of the final check's
-``is_maximal_on`` (the benchmark's tracer wraps module functions only,
-so it cannot time the methods).  Own time holds
-the function's bytecode and the numpy operators and ufuncs it applies,
-not the functions and methods it calls; both include profiler overhead,
-so they compare only with another profiled run.  A sampling run also
-prints ``outer_cleanup_ms_per_round``, the wall time of the blue
-shrink's ``State.cleanup`` on the outer state (not the inner runs'),
-from one more pass with a timer around it.  Imports hypermis from the
-``src/`` beside this directory, so a copy of the script in another
-checkout measures that checkout.
+methods in ``LAYERS``, of the coin draws (``rng.uniforms`` for SBL's
+samples, ``rng.marks`` for one marking round and ``rng.mark_grid`` for a
+block of them) and of the final check's ``is_maximal_on`` (the
+benchmark's tracer wraps module functions only, so it cannot time the
+methods).  Own time holds the function's bytecode and the numpy
+operators and ufuncs it applies, not the functions and methods it
+calls; both include profiler overhead, so they compare only with another
+profiled run.  One more pass counts the marking coin draws and prints
+``rounds_per_draw``, and the (mask, proper non-empty submask) pairs that
+``SubsetCounts.recount`` reads, ``submask_pairs_per_recount``.  A
+sampling run also prints ``outer_cleanup_ms_per_round``, the wall time
+of the blue shrink's ``State.cleanup`` on the outer state (not the inner
+runs'), from one more pass with a timer around it.  Imports hypermis
+from the ``src/`` beside this directory, so a copy of the script in
+another checkout measures that checkout.
 Not collected by pytest (the name does not start with ``test_``).
 """
 
@@ -42,7 +46,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hypermis import bl, generate, sbl  # noqa: E402
+import numpy as np  # noqa: E402
+
+from hypermis import _edgeops, bl, generate, rng, sbl  # noqa: E402
 
 
 # (file, function) of each layer timed on its own
@@ -56,6 +62,8 @@ LAYERS = {
     ("_edgeops.py", "pairs"): "SubsetCounts.pairs",
     ("_edgeops.py", "is_maximal_on"): "is_maximal_on",
     ("rng.py", "uniforms"): "rng.uniforms",
+    ("rng.py", "marks"): "rng.marks",
+    ("rng.py", "mark_grid"): "rng.mark_grid",
 }
 
 
@@ -110,6 +118,36 @@ def outer_cleanup_seconds(solve_all) -> float:
     return total[0]
 
 
+def work_counts(solve_all) -> tuple[int, int, int]:
+    """(coin draws, recounts, (mask, submask) pairs the recounts read)
+    while `solve_all` runs."""
+    marks, mark_grid, recount = rng.marks, rng.mark_grid, _edgeops.SubsetCounts.recount
+    seen = {"draws": 0, "recounts": 0, "pairs": 0}
+
+    def counted_marks(*args):
+        seen["draws"] += 1
+        return marks(*args)
+
+    def counted_grid(*args):
+        seen["draws"] += 1
+        return mark_grid(*args)
+
+    def counted_recount(self, rows, old, new):
+        seen["recounts"] += 1
+        for masks in old, new:
+            seen["pairs"] += int(np.maximum((1 << np.bitwise_count(masks)) - 2, 0).sum())
+        return recount(self, rows, old, new)
+
+    rng.marks, rng.mark_grid = counted_marks, counted_grid
+    _edgeops.SubsetCounts.recount = counted_recount
+    try:
+        solve_all()
+    finally:
+        rng.marks, rng.mark_grid = marks, mark_grid
+        _edgeops.SubsetCounts.recount = recount
+    return seen["draws"], seen["recounts"], seen["pairs"]
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     dim_range = tuple(map(int, args.dim_range.split(":"))) if args.dim_range else None
@@ -150,6 +188,9 @@ def main(argv=None) -> int:
     for label, times in ("self_ms_per_round", own), ("cum_ms_per_round", cum):
         split = (f"{layer} {per_round * times.get(layer, 0.0):.4f}" for layer in LAYERS.values())
         print(f"{label}:", ", ".join(split))
+    draws, recounts, pairs = work_counts(solve_all)
+    print(f"coin_draws: {draws}, rounds_per_draw: {rounds / max(draws, 1):.2f}")
+    print(f"recounts: {recounts}, submask_pairs_per_recount: {pairs / max(recounts, 1):.1f}")
     if args.sbl_p is not None:
         print(f"outer_cleanup_ms_per_round: {per_round * outer_cleanup_seconds(solve_all):.4f}")
     return 0

@@ -1,9 +1,10 @@
-"""One marking round on a Hypergraph, and a coin function that marks given
-ids: the tests' handles on single rounds of :mod:`hypermis.bl`.
+"""One marking round on a Hypergraph or a state, and a coin function that
+marks given ids: the tests' handles on single rounds of :mod:`hypermis.bl`.
 
 ``bl_round`` runs one round of the solver's own round code on a fresh
 state, so tests can check a round in isolation and iterate rounds by hand
-against ``run_bl``.
+against ``run_bl``; ``mark_round`` runs one on a given state with a coin
+function.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ class ForcedMarks:
         return np.array([0.0 if int(v) in self.marked else 1.0 for v in ids])
 
 
+def mark_round(state, p: float, coins, delta: float, rnd: int):
+    """:func:`hypermis.bl._mark_round` with the alive ids whose coins,
+    ids -> uniforms, fall below p marked: (record, added ids)."""
+    return _mark_round(state, state.alive[coins(state.alive) < p], p, delta, rnd)
+
+
 def bl_round(
     h: Hypergraph,
     p: float,
@@ -42,6 +49,6 @@ def bl_round(
     victims leave it.
     """
     state = make_state(h, vertex_set)
-    rec = _mark_round(state, p, coins, ops.degree_value(state.degree_pair()), 0)
+    rec, _ = mark_round(state, p, coins, ops.degree_value(state.degree_pair()), 0)
     next_h = Hypergraph(h.n, ops.matrix_to_edges(state.mat, state.sizes))
     return rec.added, next_h, tuple(state.alive.tolist()), rec

@@ -14,7 +14,6 @@ from hypermis.bl import (
     STATUS_ROUND_LIMIT,
     BlConfig,
     State,
-    _mark_round,
     make_state,
     run_bl,
 )
@@ -30,7 +29,7 @@ from hypermis.generate import KIND_UNIFORM, GenSpec, gen
 from hypermis.sbl import FALLBACK_GREEDY, SblConfig, run_sbl
 from hypermis import _edgeops as ops
 from hypermis import bl, rng, sbl
-from single_round import ForcedMarks, bl_round
+from single_round import ForcedMarks, bl_round, mark_round
 
 PAIR = Hypergraph(2, [(1, 2)])
 
@@ -109,7 +108,7 @@ class TestBlRound:
         alive, mat, sizes = full.normalized(h)
         delta = ops.degree_value(state.degree_pair())
         coins = ForcedMarks([5, 6])
-        rec = _mark_round(state, 0.5, coins, delta, 0)
+        rec, _ = mark_round(state, 0.5, coins, delta, 0)
         alive, mat, sizes, want, want_added = full.mark_round(
             h.n, alive, mat, sizes, 0.5, coins, delta, 0)
         assert rec.to_json_line() == want.to_json_line()

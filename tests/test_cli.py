@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hypermis.cli import main
@@ -331,7 +332,38 @@ class TestLargestN:
     def test_solve_is_exit_1(self, big, capsys, algo):
         code, out, err = run_cli(["solve", str(big), "--algo", algo, "--seed", "1"], capsys)
         assert code == 1 and out == ""
-        assert err.splitlines()[-1].startswith("error: ") and str(self.N) in err.splitlines()[-1]
+        want = f"error: cannot list the vertex ids 1..{self.N}: too many for one array"
+        assert err.splitlines()[-1] == want
+
+    # 2^62 ids are more than one numpy array can hold, and at 2^63 - 2
+    # numpy's range of them comes out empty
+    @pytest.mark.parametrize("n", [N - 1, 2**62])
+    @pytest.mark.parametrize("algo", ["bl", "sbl", "greedy"])
+    def test_solve_past_one_array_is_exit_1(self, tmp_path, capsys, algo, n):
+        hg = tmp_path / "big.hg"
+        hg.write_text(f"{n} 2\n1 2\n2 3\n")
+        code, out, err = run_cli(["solve", str(hg), "--algo", algo, "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        want = f"error: cannot list the vertex ids 1..{n}: too many for one array"
+        assert err.splitlines()[-1] == want
+
+    @pytest.mark.parametrize("text", ["Unable to allocate 8.00 TiB", ""])
+    @pytest.mark.parametrize("algo", ["bl", "greedy"])
+    def test_out_of_memory_is_exit_1(self, tmp_path, capsys, monkeypatch, algo, text):
+        # listing 1..2^40 fails as if memory ran out; nothing is allocated
+        arange = np.arange
+
+        def short_of_memory(*args, **kwargs):
+            if len(args) > 1 and args[1] - args[0] > 2**32:
+                raise MemoryError(text)
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", short_of_memory)
+        hg = tmp_path / "big.hg"
+        hg.write_text(f"{2**40} 2\n1 2\n2 3\n")
+        code, out, err = run_cli(["solve", str(hg), "--algo", algo, "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == f"error: {text or 'MemoryError'}"
 
 
 class TestUsageErrors:

@@ -31,7 +31,7 @@ from conftest import (
 )
 from hypermis import _edgeops as ops
 from hypermis import sbl
-from hypermis.bl import BlConfig, _mark_round, make_state, run_bl
+from hypermis.bl import BlConfig, make_state, run_bl
 from hypermis.core import (
     Hypergraph,
     degree_profile,
@@ -42,7 +42,7 @@ from hypermis.core import (
     normalize,
 )
 from hypermis.sbl import SblConfig, run_sbl, sbl_round
-from single_round import ForcedMarks
+from single_round import ForcedMarks, mark_round
 
 WIDE_N = 2 ** 20
 PAIR_N = 2 ** 40  # two ids need 82 key bits, so pair keys are ranked
@@ -312,6 +312,62 @@ def test_subset_counts_follow_shrinking_rows(h, data):
         assert counts.best(present) == ops.max_norm_degree(lm, ls, h.n)
 
 
+@pytest.mark.parametrize("width", range(9))
+def test_submask_lists_match_brute_force(width):
+    # every submask of each mask once, 0 first and the mask last, each
+    # entry's table the (s, t) of the mask's and its own bit counts
+    ptr, subs, table = ops._submasks(width)
+    assert len(subs) == 3 ** width and not subs.flags.writeable
+    tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
+    for m in range(1 << width):
+        got = subs[ptr[m] : ptr[m + 1]].tolist()
+        assert sorted(got) == [u for u in range(1 << width) if u & ~m == 0]
+        assert got[0] == 0 and got[-1] == m
+        for u, tab in zip(got[1:-1], table[ptr[m] + 1 : ptr[m + 1] - 1].tolist()):
+            assert tables[tab] == (m.bit_count(), u.bit_count())
+
+
+def table_counts(counts):
+    """The sorted non-zero counts of each table: what a count of the same
+    rows gives whatever its subset numbering."""
+    return {table: sorted(c for c in counts.count[lo:hi].tolist() if c)
+            for table, lo, hi in zip(counts.tables, counts.starts, counts.starts[1:])}
+
+
+@seed(1405_1133)
+@given(st.integers(2, 14), st.data())
+@example(12, None).via("rows of the widest submask list")
+@example(14, None).via("rows two bits past it")
+def test_recount_of_wide_rows_matches_a_fresh_count(width, data):
+    # rows up to 14 ids, past the 12 bits of the widest submask list, move
+    # from their full masks to arbitrary ones and back part of the way;
+    # the counts must equal a count of the rows they now hold
+    gen = np.random.default_rng(width)
+    pool = list(range(1, 2 * width + 1))
+    if data is None:  # one row of each size up to width, at random masks
+        rows = [sorted(gen.choice(pool, size=s, replace=False).tolist())
+                for s in range(1, width + 1)]
+        masks = [[int(gen.integers(1 << len(r))) for r in rows] for _ in range(2)]
+    else:
+        row = st.lists(st.sampled_from(pool), min_size=1, max_size=width, unique=True).map(sorted)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        masks = [[data.draw(st.integers(0, (1 << len(r)) - 1)) for r in rows] for _ in range(2)]
+    mat, sizes = ops.edge_matrix(rows)
+    counts = ops.SubsetCounts(mat, sizes, len(pool))
+    old = (1 << sizes) - 1
+    every = np.arange(len(rows))
+    for new in (np.array(masks[0]), np.array(masks[0]) & np.array(masks[1])):
+        counts.recount(every, old, new)
+        old = new
+        now = [[v for c, v in enumerate(r) if m >> c & 1] for r, m in zip(rows, new.tolist())]
+        now = [r for r in now if r]
+        lm, ls = ops.edge_matrix(now) if now else (mat[:0], sizes[:0])
+        fresh = ops.SubsetCounts(lm, ls, len(pool))
+        got = {k: v for k, v in table_counts(counts).items() if v}
+        assert got == {k: v for k, v in table_counts(fresh).items() if v}
+        assert counts.best(np.bincount(ls, minlength=width + 1)) == fresh.best(np.bincount(ls))
+
+
 @seed(1405_1133)
 @given(hypergraphs(ns=(WIDE_N,)), st.data())
 def test_holder_lists_match_brute_force(h, data):
@@ -398,7 +454,7 @@ def test_cleanup_holders_match_with_or_without_counts(h, data):
             break
         marks = data.draw(st.lists(st.sampled_from(counted.alive.tolist()), max_size=4))
         for state in (counted, listed):
-            _mark_round(state, 0.5, ForcedMarks(marks), 1.0, rnd)
+            mark_round(state, 0.5, ForcedMarks(marks), 1.0, rnd)
         assert listed.counts is None
         assert np.array_equal(counted.cols, listed.cols)
         assert np.array_equal(counted.alive, listed.alive)

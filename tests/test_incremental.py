@@ -10,6 +10,7 @@ cases fall on both sides of 63 // bit_length(n) ids per subset key.
 from __future__ import annotations
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, seed
@@ -21,7 +22,7 @@ from hypermis import bl, rng
 from hypermis.bl import P_MODE_FIXED, P_MODE_RECOMPUTE, BlConfig, make_state
 from hypermis.core import Hypergraph
 from hypermis.sbl import SblConfig, sbl_round
-from single_round import ForcedMarks
+from single_round import ForcedMarks, mark_round
 
 WIDE_N = 2 ** 20
 ROUNDS = 12
@@ -84,11 +85,11 @@ def compare_bl_rounds(h, cfg, marks, vertex_set=None):
         assert (delta, p) == full.round_p(h.n, mat, sizes, cfg, frozen)
         coins = marks(rnd, state.alive)
         coins = coins or partial(rng.uniforms, rng.derive_key(cfg.seed, rng.TAG_BL_MARK, rnd))
-        rec = bl._mark_round(state, p, coins, delta, rnd)
+        rec, added = mark_round(state, p, coins, delta, rnd)
         alive, mat, sizes, want, want_added = full.mark_round(
             h.n, alive, mat, sizes, p, coins, delta, rnd)
         assert rec.to_json_line() == want.to_json_line()
-        assert list(rec.added) == want_added.tolist()
+        assert list(rec.added) == added.tolist() == want_added.tolist()
     assert_same(state, alive, mat, sizes)
 
 
@@ -132,6 +133,52 @@ def test_delta_tie_resolves_like_full_recompute():
     vs = [c, *a, *b, *d]
     compare_bl_rounds(h, BlConfig(seed=3), lambda rnd, alive: ForcedMarks(schedule[rnd % 4]), vs)
     compare_bl_rounds(h, BlConfig(seed=3, p_mode=P_MODE_FIXED), lambda rnd, alive: None, vs)
+
+
+def grid_rows(h, cfg, vertex_set=None):
+    """Run run_bl on `h` against the oracle's whole run, which draws every
+    round's coins on its own: the results must agree byte for byte.
+    Returns the rows (rounds) of each block of coins the solver drew."""
+    drawn, draw = [], rng.mark_grid
+
+    def mark_grid(key, rows, cols, p):
+        drawn.append(rows.tolist())
+        return draw(key, rows, cols, p)
+
+    with mock.patch.object(rng, "mark_grid", mark_grid):
+        got = bl.run_bl(h, cfg, vertex_set)
+    want = full.run_bl(h.n, *full.normalized(h, vertex_set), cfg)
+    assert (got.mis, got.status) == (want.mis, want.status)
+    assert got.trace_jsonl() == want.trace_jsonl()
+    return drawn
+
+
+@seed(1405_1133)
+@given(hypergraphs(), st.sampled_from([0.02, 0.1, 0.5]), st.sampled_from([None, 9, 60]),
+       st.integers(0, 10 ** 6), st.data())
+def test_bl_runs_match_full_recompute(instance, p, max_rounds, solver_seed, data):
+    # whole runs, in which rounds that change no row are drawn in blocks
+    h, pool = instance
+    cfg = BlConfig(seed=solver_seed, p_override=p, max_rounds=max_rounds or 400)
+    grid_rows(h, cfg, data.draw(vertex_sets(h.n, pool)))
+
+
+# three short edges among 300 ids: at p = 0.01 most rounds mark no id of a
+# row, so blocks of rounds are drawn at once
+SPARSE = Hypergraph(300, [(1, 2, 3), (2, 3, 4), (4, 5), (6, 7)])
+
+
+def test_quiet_rounds_are_drawn_in_blocks():
+    drawn = grid_rows(SPARSE, BlConfig(seed=3, p_override=0.01))
+    assert max(map(len, drawn)) >= 8
+
+
+def test_block_stops_at_the_round_cap():
+    # blocks of 1, 2, 4 and 8 rounds fill 15 of the 20 rounds; the next
+    # would take 16 and is cut to the 5 left
+    cfg = BlConfig(seed=3, p_override=0.0005, max_rounds=20)
+    drawn = grid_rows(SPARSE, cfg)
+    assert drawn == [list(range(1, 3)), list(range(3, 7)), list(range(7, 15)), list(range(15, 20))]
 
 
 def force(ids):
