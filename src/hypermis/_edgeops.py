@@ -9,8 +9,11 @@ numbers the rows' proper subsets: its count tables give every degree pair
 (the marking solver moves each changed row from its old column mask, the
 columns of the row as built it still holds, to its new one, reading the
 masks' submasks from lists built once per width, :func:`_submasks`;
-:func:`hypermis.core.degree_profile` and :func:`max_norm_degree` count
-from scratch), and its holder lists the solver's containment search.
+:func:`hypermis.core.degree_profile` counts from scratch), and its holder
+lists the solver's containment search.  Equal keys are numbered and
+listed in one place, :func:`group`: one sort per subset size gives both
+the subset numbers and their holder lists, and the solver's pair lists
+come from the same routine.
 
 Rows and subsets are matched by the int64 keys of :func:`lex_keys`, one
 scheme at any edge width and any n below 2^63: ids are bit-packed while
@@ -22,7 +25,7 @@ never ranked.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -70,7 +73,9 @@ def remove_vertices(
     """Delete the entries where the (m, w) mask `drop` is True from each row.
 
     Rows stay sorted and keep their width.  Rows may end up empty:
-    callers decide whether that is legal.
+    callers decide whether that is legal.  No module of the package calls
+    it (they call :func:`compact`); it is kept only for
+    perfbench/tracer.py and the tests, until the benchmark drops it.
     """
     return compact(mat, valid_mask(mat, sizes) & ~drop)
 
@@ -117,6 +122,18 @@ def csr_gather(ptr: np.ndarray, items: np.ndarray, lists: np.ndarray):
     cnt = ptr[lists + 1] - lo
     k = np.arange(len(lists)).repeat(cnt)
     return k, items[np.arange(len(k)) + (lo - cnt.cumsum() + cnt)[k]]
+
+
+def group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(num, ptr, order) of a 1-d array: num[i] is the rank of keys[i] among
+    the distinct keys, and the entries of rank g are order[ptr[g] : ptr[g + 1]]."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)  # first entry of its rank
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    num = np.empty(len(keys), dtype=np.intp)
+    num[order] = np.cumsum(first) - 1
+    return num, np.append(np.flatnonzero(first), len(keys)), order
 
 
 def incidence(mat: np.ndarray, sizes: np.ndarray, verts: np.ndarray):
@@ -166,6 +183,7 @@ def _combos(s: int, t: int) -> np.ndarray:
 
 
 _LIST_BITS = 12  # the widest submask list: 3^12 entries, 2 MiB
+MAX_NUMBERED_IDS = 59  # a row keeps 2^size intp subset numbers; an array holds < 2^63 bytes
 
 
 @cache
@@ -289,10 +307,9 @@ def degree_value(pair: tuple[int, int] | None) -> float:
 
 class SubsetCounts:
     """Subset counts of the rows, the one source of degree pairs: built
-    from scratch for :func:`hypermis.core.degree_profile` and
-    :func:`max_norm_degree`, and kept up to date by the solvers as rows
-    shrink and leave, so a round reads its degree pair without a pass
-    over the rows.
+    from scratch for :func:`hypermis.core.degree_profile`, and kept up to
+    date by the solvers as rows shrink and leave, so a round reads its
+    degree pair without a pass over the rows.
 
     Row i is counted over a column mask, the columns of its ids at
     construction it still holds (all sizes[i] of them then; a row of size
@@ -302,7 +319,7 @@ class SubsetCounts:
     subset of row i over the columns of submask u has number
     sub[first[i] + u]: a row of size s keeps 2^s entries of `sub`, one
     per u, of which those of the proper non-empty u are used, and the
-    rows of each size (owners[s]) lie in one block.  The table of each
+    rows of each size lie in one block.  The table of each
     (s, t) in `tables`, number (s - 1)(s - 2) / 2 - 1 + t, holds one
     count per t-subset, the number of counted rows of size s holding it;
     the tables lie end to end in `count`, table i from starts[i]; every
@@ -310,37 +327,49 @@ class SubsetCounts:
     count when it is asked.  A row moves by the proper non-empty
     submasks of its old and new masks, read from the lists of
     :func:`_submasks`, so its cost is their number, not 2^s per mask.
-    The holder lists of :meth:`holders` invert the numbering; they are
-    built on first read, so a one-shot count lists no holders.
+    The rows at construction holding t-subset g as a proper subset are
+    held[ptr[h] : ptr[h + 1]], h = below[t] + g, in no set order: the
+    sort of :func:`group` that numbers the t-subsets lists them too.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
         present = np.flatnonzero(np.bincount(sizes)).tolist()
         width = max(present, default=1)
-        self.size, self.width = sizes, width
+        if width > MAX_NUMBERED_IDS:
+            raise ValueError(f"an edge of {width} ids is too wide to number its subsets: "
+                             f"at most {MAX_NUMBERED_IDS} ids")
+        self.width = width
         self.first = np.zeros(len(sizes), dtype=np.intp)
-        self.owners, end = {}, 0
+        owners, end = {}, 0
         for s in present:
-            self.owners[s] = i = np.flatnonzero(sizes == s)
+            owners[s] = i = np.flatnonzero(sizes == s)
             self.first[i] = end + (np.arange(len(i)) << s)
             end += len(i) << s
         self.sub = np.zeros(end, dtype=np.intp)
-        nkeys, blocks = [0], {}
+        # every row of size s holds 2^s - 2 proper non-empty subsets
+        self.held = np.empty(sum(len(i) * ((1 << s) - 2) for s, i in owners.items() if s > 1),
+                             dtype=np.intp)
+        nkeys, ptrs, at, blocks = [0], [], 0, {}
         for t in range(1, width):
             larger = [s for s in present if s > t]
-            subsets = [_subsets(mat[self.owners[s], :s], t) for s in larger]
-            # keyed in one call, so that the ranks compare across sizes
-            keys = lex_keys(np.concatenate(subsets, axis=1).T, n)
-            keys, ids = np.unique(keys, return_inverse=True)
-            nkeys.append(len(keys))
-            cuts = np.cumsum([sub.shape[1] for sub in subsets])[:-1]
-            for s, part in zip(larger, np.split(ids, cuts)):
-                # subset j of the k size-s rows is part[j * k : (j + 1) * k]
-                k, lo = len(self.owners[s]), self.first[self.owners[s][0]]
+            # subset j of row i of the k size-s rows is entry j * k + i of
+            # their part, keyed in one call, so that ranks compare across sizes
+            num, ptr, order = group(lex_keys(np.concatenate(
+                [_subsets(mat[owners[s], :s], t) for s in larger], axis=1).T, n))
+            nkeys.append(len(ptr) - 1)
+            row = np.concatenate([np.tile(owners[s], _combos(s, t).shape[1]) for s in larger])
+            row.take(order, out=self.held[at : at + len(order)], mode="clip")  # raise mode buffers out
+            ptrs.append(at + ptr[:-1])
+            at += len(order)
+            cuts = np.cumsum([len(owners[s]) * _combos(s, t).shape[1] for s in larger])[:-1]
+            for s, part in zip(larger, np.split(num, cuts)):
+                k, lo = len(owners[s]), self.first[owners[s][0]]
                 runs = self.sub[lo : lo + (k << s)].reshape(k, 1 << s)
                 runs[:, np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k).T
-                blocks[s, t] = np.bincount(part, minlength=len(keys))
-        self.nkeys = nkeys  # nkeys[t] t-subsets
+                blocks[s, t] = np.bincount(part, minlength=nkeys[t])
+        self.ptr = np.concatenate([*ptrs, [at]])
+        del ptrs  # not held beside ptr while the count tables are built
+        self.below = np.cumsum([0, *nkeys])  # nkeys[t] t-subsets
         self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
         self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
         self.count = np.zeros(self.starts[-1], dtype=np.intp)
@@ -348,30 +377,12 @@ class SubsetCounts:
             if table in blocks:
                 self.count[lo : lo + len(blocks[table])] = blocks[table]
 
-    @cached_property
-    def _holder_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ptr, rows, below): the rows at construction holding t-subset g
-        as a proper subset are rows[ptr[h] : ptr[h + 1]], h = below[t] + g."""
-        below = np.cumsum([0, *self.nkeys])
-        ptr, rows = np.zeros(below[-1] + 1, dtype=np.intp), [np.zeros(0, dtype=np.intp)]
-        for t in range(1, len(self.nkeys)):  # one subset size at a time, to bound temporaries
-            # the t-subsets of the size-s rows i: sub[first[i] + u], u of t bits
-            at = [(i, np.add.outer(np.left_shift(1, _combos(s, t)).sum(axis=0),
-                                   self.first[i]).ravel())
-                  for s, i in self.owners.items() if s > t]
-            num = self.sub[np.concatenate([a for _, a in at])]
-            ptr[below[t] + 1 : below[t + 1] + 1] = ptr[below[t]] + np.bincount(num).cumsum()
-            row = np.concatenate([np.tile(i, len(a) // len(i)) for i, a in at])
-            rows.append(row[num.argsort()])
-        return ptr, np.concatenate(rows), below
-
     def holders(self, rows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, q) for every row q at construction holding the subset of
         row rows[k] over its proper non-empty column submask masks[k] (a
         row equal to it is not listed; normalized rows hold none)."""
-        ptr, held, below = self._holder_lists
         g = self.sub[self.first[rows] + masks]
-        return csr_gather(ptr, held, below[np.bitwise_count(masks)] + g)
+        return csr_gather(self.ptr, self.held, self.below[np.bitwise_count(masks)] + g)
 
     def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Move each of the distinct rows `rows` from column mask old[i]
@@ -432,6 +443,7 @@ def max_norm_degree(
 ) -> tuple[int, int] | None:
     """Best (count, j) pair over all subset degrees, None if no edge of
     size >= 2 exists: :meth:`SubsetCounts.best` counted from scratch.  No
-    solver calls it (they keep their counts); it stays as an entry point
-    for the benchmark tracer and the tests."""
+    module of the package calls it (the solvers keep their counts); it is
+    kept only for perfbench/tracer.py and the tests, until the benchmark
+    drops it."""
     return SubsetCounts(mat, sizes, n).best(np.bincount(sizes))

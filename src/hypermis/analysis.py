@@ -492,13 +492,14 @@ def estimate_unmark_given_marked(
     if len(xt) >= h.dim:
         raise ValueError(f"|x|={len(xt)} must be < dim={h.dim}")
     mat, sizes = h.arrays
-    in_x = ops.member(mat, np.array(xt, dtype=np.int64)) & ops.valid_mask(mat, sizes)
+    valid = ops.valid_mask(mat, sizes)
+    in_x = ops.member(mat, np.array(xt, dtype=np.int64)) & valid
     hits = in_x.sum(axis=1)
     if (hits == sizes).any():
         row = np.argmax(hits == sizes)
         raise ValueError(f"edge {tuple(mat[row, : sizes[row]].tolist())} is contained in x")
     near = hits > 0
-    ids, cols = _edge_columns(*ops.remove_vertices(mat[near], sizes[near], in_x[near]))
+    ids, cols = _edge_columns(*ops.compact(mat[near], (valid & ~in_x)[near]))
     hits = 0  # a fully marked edge has its first id marked
     for marks in _mark_chunks(seed, trials, ids, p, cols.size, cols[:, :1]):
         hits += int(_fully_marked(marks, cols).any(axis=0).sum())

@@ -66,6 +66,7 @@ P_MODE_RECOMPUTE = "recompute"  # probability refreshed every round
 STATUS_OK = "ok"
 STATUS_ROUND_LIMIT = "round-limit-exceeded"
 
+MAX_IDS = 63  # the widest row: its column mask is one int64, kept >= 0
 _BLOCK_CELLS = 1 << 16  # coins (rounds x alive ids) drawn for one block of rounds
 
 
@@ -152,7 +153,11 @@ class State:
     def __init__(self, n: int, alive: np.ndarray, mat: np.ndarray, sizes: np.ndarray):
         """State over normalized rows (no duplicates, none strictly inside
         another) whose ids lie in `alive`; takes ownership of `alive` and
-        makes `mat` read-only."""
+        makes `mat` read-only.  ValueError names a row wider than
+        MAX_IDS, whose column mask one int64 cannot hold."""
+        if len(sizes) and sizes.max() > MAX_IDS:
+            raise ValueError(f"an edge of {sizes.max()} ids is too wide for the solvers: "
+                             f"at most {MAX_IDS} ids")
         mat.flags.writeable = False
         self.n = n
         self.alive = self.verts = alive
@@ -165,7 +170,7 @@ class State:
         self._order, self.inc, self.ptr = ops.incidence(mat, sizes, alive)
         self.counts: ops.SubsetCounts | None = None
         self._pair: tuple[int, int] | None = None
-        self._pair_stale = True
+        self._pair_at = -1  # the count of moves when _pair was read
         self.moves = 0  # updates that changed rows
 
     @property
@@ -196,9 +201,8 @@ class State:
             moved = np.flatnonzero(self.cols != full)
             if len(moved):
                 self.counts.recount(moved, full[moved], self.cols[moved])
-        if self._pair_stale:
-            self._pair = self.counts.best(self.nsize)
-            self._pair_stale = False
+        if self._pair_at != self.moves:
+            self._pair, self._pair_at = self.counts.best(self.nsize), self.moves
         return self._pair
 
     @cached_property
@@ -236,25 +240,22 @@ class State:
         self.m -= len(rows) - int(np.count_nonzero(size))
         if self.counts is not None and old_size.max() >= 2:  # singletons count nothing
             self.counts.recount(rows, old, self.cols[rows])
-        self._pair_stale = True
         self.moves += 1
 
     @cached_property
     def _pair_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(first, num, ptr, held): columns a < b of row i as built hold pair
         number num[first[i] + b * (b - 1) // 2 + a], and the rows as built
-        holding pair g are held[ptr[g] : ptr[g + 1]]."""
+        holding pair g are held[ptr[g] : ptr[g + 1]], numbered and listed
+        by :func:`hypermis._edgeops.group`."""
         pairs = self.built * (self.built - 1) // 2
         first, w = np.cumsum(pairs) - pairs, self.rows.shape[1]
         ab = np.array([(a, b) for b in range(w) for a in range(b)], np.intp).reshape(-1, 2)
         row = np.repeat(np.arange(len(pairs)), pairs)
         at = np.take(ab, np.arange(len(row)) - np.repeat(first, pairs), axis=0)  # its (a, b)
         keys = ops.lex_keys(np.take(self.rows, at + (row * w)[:, None]), self.n)
-        order = keys.argsort()
-        new = np.append(True, np.diff(keys[order]) != 0)  # first of its pair
-        num = np.empty_like(order)
-        num[order] = np.cumsum(new) - 1
-        return first, num, np.append(np.flatnonzero(new), len(order)), row[order]
+        num, ptr, order = ops.group(keys)
+        return first, num, ptr, row[order]
 
     def _holding(self, touched: np.ndarray, cols: np.ndarray, size: np.ndarray):
         """(k, q) for live rows q holding all size[k] ids of mask cols[k] of
@@ -387,16 +388,8 @@ def _mark_round(state: State, marked: np.ndarray, p: float, delta: float, rnd: i
         state.drop(single)
         gone = np.concatenate([added, victims])
     state.alive = ops.without(alive, gone)
-    return BlRoundRecord(
-        round=rnd,
-        marked=tuple(marked.tolist()),
-        unmarked=tuple(unmarked.tolist()),
-        added=tuple(added.tolist()),
-        remaining_vertices=len(state.alive),
-        remaining_edges=state.m,
-        delta=delta,
-        p_used=p,
-    ), added
+    ids = (tuple(x.tolist()) for x in (marked, unmarked, added))
+    return BlRoundRecord(rnd, *ids, len(state.alive), state.m, delta, p), added
 
 
 def _quiet_rounds(state: State, marks: np.ndarray, rnd: int, p: float, delta: float):
@@ -456,18 +449,7 @@ def run_bl(
         rnd = len(records)
         if state.m == 0:
             remaining = tuple(state.alive.tolist())
-            records.append(
-                BlRoundRecord(
-                    round=rnd,
-                    marked=remaining,
-                    unmarked=(),
-                    added=remaining,
-                    remaining_vertices=0,
-                    remaining_edges=0,
-                    delta=0.0,
-                    p_used=1.0,
-                )
-            )
+            records.append(BlRoundRecord(rnd, remaining, (), remaining, 0, 0, 0.0, 1.0))
             added.append(state.alive)
             state.alive = state.alive[:0]
             break

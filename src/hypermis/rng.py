@@ -119,8 +119,10 @@ def uniform_grid(key: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """len(rows) x len(cols) matrix of uniforms.
 
     Row r uses the sub-key fold(key, rows[r]); entry (r, c) is then the
-    uniform for id cols[c] in that sub-key.  Used for Monte Carlo trials
-    (rows = trial indices, cols = vertex ids).
+    uniform for id cols[c] in that sub-key.  No module of the package
+    calls it (the Monte Carlo trials and the blocks of marking rounds
+    draw :func:`mark_grid`); it is kept only for perfbench/tracer.py and
+    the tests, until the benchmark drops it.
     """
     return (_grid_words(key, rows, cols) >> np.uint64(11)) * (2.0 ** -53)
 

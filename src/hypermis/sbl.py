@@ -346,8 +346,7 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
 
     max_rounds = cfg.max_rounds or default_max_rounds(h.n, params.p)
 
-    blues: set[int] = set()
-    blue_ids = np.zeros(0, dtype=np.int64)  # sorted, kept under check_invariants
+    blues = [state.alive[:0]]  # the ids each round colors blue
     records: list[SblRoundRecord] = []
     exit_reason = EXIT_STOP_THRESHOLD
     while len(state.alive) >= params.stop_threshold:
@@ -371,16 +370,14 @@ def run_sbl(h: Hypergraph, cfg: SblConfig) -> SblResult:
                 )
             exit_reason = EXIT_DIMENSION_GATE
             break
-        blues.update(blue)
+        blues.append(np.array(blue, dtype=np.int64))
         if cfg.check_invariants:
-            # a round's blue ids are new, so one insert keeps them sorted
-            new = np.array(blue, dtype=np.int64)
-            blue_ids = np.insert(blue_ids, blue_ids.searchsorted(new), new)
+            blue_ids = np.sort(np.concatenate(blues))
             if not ops.is_maximal_on(*h.arrays, blue_ids, blue_ids[:0]):
                 raise InternalInvariantError("blue set lost independence")
 
     residual = greedy_mis_over(ops.matrix_to_edges(state.mat, state.sizes), state.alive.tolist())
-    mis = tuple(sorted(blues.union(residual)))
+    mis = tuple(np.sort(np.concatenate([*blues, np.array(residual, dtype=np.int64)])).tolist())
     return _result(h, mis=mis, rounds=records, exit_reason=exit_reason, params=params)
 
 

@@ -24,9 +24,13 @@ benchmark's tracer wraps module functions only, so it cannot time the
 methods).  Own time holds the function's bytecode and the numpy
 operators and ufuncs it applies, not the functions and methods it
 calls; both include profiler overhead, so they compare only with another
-profiled run.  One more pass counts the marking coin draws and prints
-``rounds_per_draw``, and the (mask, proper non-empty submask) pairs that
-``SubsetCounts.recount`` reads, ``submask_pairs_per_recount``.  A
+profiled run.  ``SubsetCounts.__init__`` numbers the subsets and lists
+their holders.  One more pass counts the marking coin draws and prints
+``rounds_per_draw``; the marking rounds by path, ``single_rounds`` (drawn
+one at a time, ``rng.marks``), ``block_draws`` (``rng.mark_grid``) and
+``block_rounds`` (the rounds that change no row, recorded by
+``bl._quiet_rounds``); and the (mask, proper non-empty submask) pairs
+that ``SubsetCounts.recount`` reads, ``submask_pairs_per_recount``.  A
 sampling run also prints ``outer_cleanup_ms_per_round``, the wall time
 of the blue shrink's ``State.cleanup`` on the outer state (not the inner
 runs'), from one more pass with a timer around it.  Imports hypermis
@@ -57,6 +61,7 @@ LAYERS = {
     ("bl.py", "incidences"): "State.incidences",
     ("bl.py", "_pair_lists"): "State._pair_lists",
     ("bl.py", "_holding"): "State._holding",
+    ("_edgeops.py", "__init__"): "SubsetCounts.__init__",
     ("_edgeops.py", "holders"): "SubsetCounts.holders",
     ("_edgeops.py", "recount"): "SubsetCounts.recount",
     ("_edgeops.py", "pairs"): "SubsetCounts.pairs",
@@ -118,19 +123,26 @@ def outer_cleanup_seconds(solve_all) -> float:
     return total[0]
 
 
-def work_counts(solve_all) -> tuple[int, int, int]:
-    """(coin draws, recounts, (mask, submask) pairs the recounts read)
-    while `solve_all` runs."""
+def work_counts(solve_all) -> dict[str, int]:
+    """Single-round draws, block draws, rounds recorded by blocks,
+    recounts and the (mask, submask) pairs the recounts read while
+    `solve_all` runs."""
     marks, mark_grid, recount = rng.marks, rng.mark_grid, _edgeops.SubsetCounts.recount
-    seen = {"draws": 0, "recounts": 0, "pairs": 0}
+    quiet_rounds = bl._quiet_rounds
+    seen = dict.fromkeys(["single", "blocks", "block_rounds", "recounts", "pairs"], 0)
 
     def counted_marks(*args):
-        seen["draws"] += 1
+        seen["single"] += 1
         return marks(*args)
 
     def counted_grid(*args):
-        seen["draws"] += 1
+        seen["blocks"] += 1
         return mark_grid(*args)
+
+    def counted_quiet_rounds(*args):
+        records, ids, marked = quiet_rounds(*args)
+        seen["block_rounds"] += len(records)
+        return records, ids, marked
 
     def counted_recount(self, rows, old, new):
         seen["recounts"] += 1
@@ -140,12 +152,14 @@ def work_counts(solve_all) -> tuple[int, int, int]:
 
     rng.marks, rng.mark_grid = counted_marks, counted_grid
     _edgeops.SubsetCounts.recount = counted_recount
+    bl._quiet_rounds = counted_quiet_rounds
     try:
         solve_all()
     finally:
         rng.marks, rng.mark_grid = marks, mark_grid
         _edgeops.SubsetCounts.recount = recount
-    return seen["draws"], seen["recounts"], seen["pairs"]
+        bl._quiet_rounds = quiet_rounds
+    return seen
 
 
 def main(argv=None) -> int:
@@ -188,8 +202,12 @@ def main(argv=None) -> int:
     for label, times in ("self_ms_per_round", own), ("cum_ms_per_round", cum):
         split = (f"{layer} {per_round * times.get(layer, 0.0):.4f}" for layer in LAYERS.values())
         print(f"{label}:", ", ".join(split))
-    draws, recounts, pairs = work_counts(solve_all)
+    seen = work_counts(solve_all)
+    draws = seen["single"] + seen["blocks"]
     print(f"coin_draws: {draws}, rounds_per_draw: {rounds / max(draws, 1):.2f}")
+    print(f"single_rounds: {seen['single']}, block_draws: {seen['blocks']}, "
+          f"block_rounds: {seen['block_rounds']}")
+    recounts, pairs = seen["recounts"], seen["pairs"]
     print(f"recounts: {recounts}, submask_pairs_per_recount: {pairs / max(recounts, 1):.1f}")
     if args.sbl_p is not None:
         print(f"outer_cleanup_ms_per_round: {per_round * outer_cleanup_seconds(solve_all):.4f}")

@@ -242,6 +242,20 @@ class TestRunBl:
         with pytest.raises(ValueError):
             BlConfig(seed=1, max_rounds=0)
 
+    # a 64-id row's column mask does not fit one int64, and the subset
+    # numbering of a row of 62 or 63 ids would keep 2^62 or 2^63 numbers,
+    # more than one array holds; numpy would raise before allocating
+    @pytest.mark.parametrize("width, error", [
+        (62, "an edge of 62 ids is too wide to number its subsets: at most 59 ids"),
+        (63, "an edge of 63 ids is too wide to number its subsets: at most 59 ids"),
+        (64, "an edge of 64 ids is too wide for the solvers: at most 63 ids"),
+    ])
+    def test_too_wide_an_edge_is_named(self, width, error):
+        h = Hypergraph(width + 2, [tuple(range(1, width + 1)), (width + 1, width + 2)])
+        with pytest.raises(ValueError) as exc:
+            run_bl(h, BlConfig(seed=1))
+        assert str(exc.value) == error
+
     def test_cleanup_rejects_a_row_that_loses_nothing(self):
         # rows (1, 2) and (3, 4): deleting 1 from both would look up row
         # 1's full mask, which numbers no proper subset
@@ -254,9 +268,9 @@ class TestRunBl:
     def test_only_states_that_read_degrees_number_subsets(self, monkeypatch):
         # the outer sampling state only shrinks rows, of any width: it
         # numbers no subsets, only pairs; an inner state with a row of size
-        # >= 2 reads delta, so it counts and lists holders; one of
-        # singletons has no degree pair to read, so it counts nothing; a
-        # one-shot count lists no holders
+        # >= 2 reads delta, so it counts and lists the holders of each of
+        # the 2^s - 2 proper non-empty subsets of a row of size s; one of
+        # singletons has no degree pair to read, so it counts nothing
         states, counts = [], []
 
         class RecordedState(State):
@@ -282,12 +296,13 @@ class TestRunBl:
         assert any(wide) and any(s.rows.shape[0] and not w for s, w in zip(inner, wide))
         for s, w in zip(inner, wide):
             assert (s.counts is not None) == w
-            assert not w or "_holder_lists" in vars(s.counts)
+            if w:
+                held = int(np.maximum((1 << s.built) - 2, 0).sum())
+                assert len(s.counts.held) == s.counts.ptr[-1] == held
         counts.clear()
         degree_profile(h)
         ops.max_norm_degree(*h.arrays, h.n)
         assert len(counts) == 2
-        assert all("_holder_lists" not in vars(c) for c in counts)
 
     def test_degree_counts_move_no_empty_row_set(self, monkeypatch):
         # a state's counts are built before any row moves in every run_bl

@@ -366,6 +366,36 @@ class TestLargestN:
         assert err.splitlines()[-1] == f"error: {text or 'MemoryError'}"
 
 
+class TestWideEdges:
+    """An edge too wide for a solver is exit 1 with an error naming its
+    size and the limit; the sampling solver holds 63 ids."""
+
+    @staticmethod
+    def solve(tmp_path, capsys, width, algo):
+        hg = tmp_path / "wide.hg"
+        hg.write_text(f"{width} 1\n" + " ".join(map(str, range(1, width + 1))) + "\n")
+        argv = ["solve", str(hg), "--algo", algo, "--seed", "1", "--p", "0.3", "--d-cap", "3"]
+        return run_cli(argv if algo == "sbl" else argv[:-2], capsys)
+
+    @pytest.mark.parametrize("algo, width, error", [
+        ("bl", 62, "an edge of 62 ids is too wide to number its subsets: at most 59 ids"),
+        ("bl", 63, "an edge of 63 ids is too wide to number its subsets: at most 59 ids"),
+        ("bl", 64, "an edge of 64 ids is too wide for the solvers: at most 63 ids"),
+        ("sbl", 64, "an edge of 64 ids is too wide for the solvers: at most 63 ids"),
+    ])
+    def test_too_wide_is_exit_1(self, tmp_path, capsys, algo, width, error):
+        code, out, err = self.solve(tmp_path, capsys, width, algo)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == f"error: {error}"
+
+    @pytest.mark.parametrize("width", [62, 63])
+    def test_sampling_solves_63_ids(self, tmp_path, capsys, width):
+        code, out, _ = self.solve(tmp_path, capsys, width, "sbl")
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "ok"
+        assert len(doc["mis"]) == width - 1
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -337,3 +337,21 @@ def test_wide_uniform_rows_shrink_without_subset_tables():
     assert sum(rec.edges_shrunk for rec in res.rounds) > 0
     assert is_maximal_independent(h, res.mis)
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("width", [62, 63])
+def test_edges_up_to_63_ids_are_solved(width):
+    # the outer state keeps a row's columns in one int64 mask, which holds
+    # 63 of them; the rounds shrink the wide row by their blue ids
+    h = Hypergraph(width + 2, [tuple(range(1, width + 1)), (width + 1, width + 2)])
+    res = run_sbl(h, SblConfig(seed=1, p_override=0.3, d_cap_override=3))
+    assert res.status == STATUS_OK and res.exit_reason == EXIT_STOP_THRESHOLD
+    assert sum(rec.edges_shrunk for rec in res.rounds) > 0
+    assert is_maximal_independent(h, res.mis)
+
+
+def test_an_edge_of_64_ids_is_named():
+    h = Hypergraph(66, [tuple(range(1, 65)), (65, 66)])
+    with pytest.raises(ValueError) as exc:
+        run_sbl(h, SblConfig(seed=1, p_override=0.3, d_cap_override=3))
+    assert str(exc.value) == "an edge of 64 ids is too wide for the solvers: at most 63 ids"
