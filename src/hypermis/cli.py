@@ -66,8 +66,13 @@ def _check_ids(ids, n: int, what: str) -> None:
 def _cmd_gen(args) -> int:
     dim_range = None
     if args.dim_range:
-        lo, hi = args.dim_range.split(":")
-        dim_range = (int(lo), int(hi))
+        lo, _, hi = args.dim_range.partition(":")
+        try:
+            dim_range = (int(lo), int(hi))
+        except ValueError:
+            raise ValueError(
+                f"--dim-range must be LO:HI, two integers, got {args.dim_range!r}"
+            ) from None
     spec = generate.GenSpec(
         n=args.n,
         kind=args.kind,

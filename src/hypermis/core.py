@@ -79,14 +79,17 @@ class Hypergraph:
     def _from_rows(cls, n: int, mat: np.ndarray, sizes: np.ndarray) -> Hypergraph:
         """The hypergraph of the rows of a padded id matrix (the layout of
         :attr:`arrays`), each row sorted, its ids distinct and inside 1..n;
-        none of this is checked.  The rows are sorted into edge order and
-        kept, read-only, as :attr:`arrays`."""
+        none of this is checked.  The rows are sorted into edge order,
+        unless they are in it already, and kept, read-only, as
+        :attr:`arrays`."""
         width = int(sizes.max(initial=1))
-        if mat.shape[1] != width:
-            mat = mat[:, :width]
+        if mat.shape[1] != width:  # a copy, so the wider matrix is not kept alive
+            mat = np.ascontiguousarray(mat[:, :width])
         if len(sizes) > 1:
-            order = np.argsort(ops.lex_keys(mat, n))
-            mat, sizes = mat[order], sizes[order]
+            keys = ops.lex_keys(mat, n)
+            if (keys[1:] < keys[:-1]).any():
+                order = np.argsort(keys)
+                mat, sizes = mat[order], sizes[order]
         mat.flags.writeable = sizes.flags.writeable = False
         h = cls.__new__(cls)
         h.n, h.arrays = n, (mat, sizes)
@@ -264,39 +267,56 @@ def parse_hg(text: str) -> Hypergraph:
     comment lines counted.
 
     When every line after the header holds only ASCII digits and spaces
-    (as :func:`format_hg` writes them), the ids are read and checked in one
-    array pass.  Any other text, and any text that fails a check there, is
-    parsed line by line, which finds and names the first bad line.
+    (as :func:`format_hg` writes them) and every line up to it ends in
+    "\n" alone, the ids are read and checked in one array pass.  Any other
+    text, and any text that fails a check there, is parsed line by line,
+    which finds and names the first bad line.
     """
     h = _parse_hg_arrays(text)
     return _parse_hg_lines(text) if h is None else h
 
 
 _DIGITS = 18  # longer ids may not fit int64: the line-by-line parser reads them
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' line ends besides "\n"
 
 
 def _parse_hg_arrays(text: str) -> Hypergraph | None:
     """:func:`parse_hg` in array passes; None where it does not apply or
-    a check fails."""
-    lines = text.splitlines()
-    content = (i for i, ln in enumerate(lines) if ln.strip() and not ln.strip().startswith("#"))
-    at = next(content, None)
-    head = [] if at is None else lines[at].split()
+    a check fails.  The header is found by a scan over the lines that end
+    in "\n", which are the line parser's when nothing up to the header
+    holds another line end; only the body is encoded and read."""
+    start = 0
+    while True:  # to the first line neither blank nor a comment
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].strip()
+        if line and not line.startswith("#"):
+            break
+        if end == len(text):
+            return None
+        start = end + 1
+    head = line.split()
     if len(head) != 2 or not all(t.isascii() and t.isdigit() and len(t) <= _DIGITS for t in head):
         return None
-    n, m = int(head[0]), int(head[1])
-    body = "\n".join(lines[at + 1 :]).encode()
-    chars = np.frombuffer(body, dtype=np.uint8)
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    newline = chars == ord("\n")
-    if not (digit | newline | (chars == ord(" "))).all():
+    if any(c in text[:end] for c in _BREAKS):  # splitlines would find other lines
         return None
-    step = np.diff(digit.view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    n, m = int(head[0]), int(head[1])
+    body = text[end + 1 :].encode("ascii", "replace")  # a non-ASCII character fails the check
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # the digit flags, False at both ends, so that they change at each token's bounds
+    digit = np.zeros(len(chars) + 2, dtype=bool)
+    np.less(chars - ord("0"), 10, out=digit[1:-1])
+    newlines = np.flatnonzero(chars == ord("\n"))
+    if np.count_nonzero(digit) + np.count_nonzero(chars == ord(" ")) + len(newlines) < len(chars):
+        return None  # a character other than a digit, a space or a newline
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[::2], bounds[1::2]
     if len(starts) and (ends - starts).max() > _DIGITS:
         return None
-    sizes = np.bincount(np.searchsorted(np.flatnonzero(newline), starts), minlength=1)
-    sizes = sizes[sizes > 0]  # blank lines hold no edge
+    # a row starts at the first token, and at the first token after a newline
+    first = ops.flags(len(starts) + 1, np.searchsorted(starts, newlines))
+    first[[0, -1]] = True
+    sizes = np.diff(np.flatnonzero(first))  # blank lines hold no edge
     if len(sizes) != m:
         return None
     if not m:
@@ -304,13 +324,15 @@ def _parse_hg_arrays(text: str) -> Hypergraph | None:
     ids = np.fromstring(body, dtype=np.int64, sep=" ")
     if ids.min() < 1 or ids.max() > n:
         return None
-    mat = np.full((m, int(sizes.max())), n + 1, dtype=np.int64)
+    mat = np.zeros((m, int(sizes.max())), dtype=np.int64)
     valid = ops.valid_mask(mat, sizes)
     mat[valid] = ids
-    mat.sort(axis=1)  # the padding n + 1 sorts last
-    if (mat[:, 1:] == mat[:, :-1])[valid[:, 1:]].any():
-        return None
-    mat[~valid] = 0
+    if not (mat[:, 1:] > mat[:, :-1])[valid[:, 1:]].all():  # else sorted, no id repeated
+        mat[~valid] = n + 1  # sorts last
+        mat.sort(axis=1)
+        if (mat[:, 1:] == mat[:, :-1])[valid[:, 1:]].any():
+            return None
+        mat[~valid] = 0
     return Hypergraph._from_rows(n, mat, sizes)
 
 
@@ -359,21 +381,35 @@ def _line_error(text: str, index: int, exc: ValueError) -> ValueError:
 
 
 def format_hg(h: Hypergraph, comment: str | None = None) -> str:
-    out = []
-    if comment:
-        for ln in comment.splitlines():
-            out.append(f"# {ln}")
-    out.append(f"{h.n} {h.m}")
-    if h.m:
-        mat, sizes = h.arrays
-        line = [" ".join(["%d"] * s) for s in range(mat.shape[1] + 1)]
-        template = "\n".join(map(line.__getitem__, sizes.tolist()))
-        out.append(template % tuple(mat[ops.valid_mask(mat, sizes)].tolist()))
-    return "\n".join(out) + "\n"
+    """.hg text of `h`, each line of `comment` as a '#' line first.  The
+    ids are written in one array pass: their decimal digits, one column
+    each, right-aligned in a byte matrix with one more column for the
+    separator (a newline after a row's last id, a space elsewhere), and
+    the leading zeros masked out."""
+    head = "".join(f"# {ln}\n" for ln in comment.splitlines()) if comment else ""
+    head += f"{h.n} {h.m}\n"
+    if not h.m:
+        return head
+    mat, sizes = h.arrays
+    ids = mat[ops.valid_mask(mat, sizes)]
+    width = len(str(int(ids.max())))
+    chars = np.empty((len(ids), width + 1), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    # floor_divide by a scalar takes numpy's fast path, which divmod does not
+    for c in range(width - 1, -1, -1):
+        np.greater(ids, 0, out=keep[:, c])  # ids >= 1: the last digit is kept
+        high = ids // 10
+        np.subtract(ids, high * 10, out=chars[:, c], casting="unsafe")
+        ids = high
+    chars += ord("0")
+    chars[:, width] = ord(" ")
+    chars[np.cumsum(sizes) - 1, width] = ord("\n")
+    return head + chars[keep].tobytes().decode("ascii")
 
 
 def load_hg(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse the .hg file at `path`, UTF-8 with or without a byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_hg(fh.read())
 
 

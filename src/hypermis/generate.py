@@ -103,7 +103,7 @@ def _attempt_cap(m: int) -> int:
 
 
 def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> np.ndarray:
-    """The edges as rows: the first m distinct draws of
+    """The edges as rows in edge order: the first m distinct draws of
     :meth:`rng.Stream.sample_ids`, or in edge_probability mode each
     d-subset with a coin below the probability, coin i for the i-th in
     lexicographic order."""
@@ -123,14 +123,16 @@ def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> np.ndarray:
         )
     limit = _attempt_cap(m) + 1
     rows = np.zeros((0, d), dtype=np.int64)
-    first = np.zeros(0, dtype=np.intp)  # the draw that first gives each distinct edge
+    first = np.zeros(0, dtype=np.intp)  # the first draw of each distinct edge, in edge order
     while len(first) < m:
         if len(rows) == limit:
             raise InfeasibleError(f"could not place {m} distinct edges")
         more = min(max(m - len(first), len(rows) // 4), limit - len(rows))
         rows = np.concatenate([rows, stream.sample_rows(n, d, more)])
-        first = np.sort(np.unique(ops.lex_keys(rows, n), return_index=True)[1])
-    return rows[first[:m]]
+        first = np.unique(ops.lex_keys(rows, n), return_index=True)[1]
+    if len(first) > m:  # keep the edges of the first m distinct draws
+        first = first[first <= np.partition(first, m - 1)[m - 1]]
+    return rows[first]
 
 
 def _place(m: int, draw, clash, failure: str) -> list[tuple[int, ...]]:

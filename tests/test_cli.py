@@ -46,6 +46,16 @@ class TestGen:
         )
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("text", ["3", "a:b", "1:2:3"])
+    def test_bad_dim_range_names_the_flag(self, capsys, text):
+        code, out, err = run_cli(
+            ["gen", "--n", "8", "--kind", "mixed-dims", "--dim-range", text, "--m", "2",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --dim-range must be LO:HI, two integers, got {text!r}\n"
+
 
 class TestSolve:
     @pytest.mark.parametrize("algo, p", [("bl", "2"), ("sbl", "1")])
@@ -307,6 +317,15 @@ class TestInputErrors:
         code, out, err = run_cli([command, str(hg), *extra[command]], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: line 1: vertex count must lie below 2^63")
+
+
+    def test_byte_order_mark_is_read_as_utf8(self, instance, tmp_path, capsys):
+        bom = tmp_path / "bom.hg"
+        bom.write_bytes(b"\xef\xbb\xbf" + instance.read_bytes())
+        argv = ["--algo", "bl", "--seed", "3"]
+        code, out, err = run_cli(["solve", str(bom), *argv], capsys)
+        assert code == 0 and "error" not in err
+        assert (code, out) == run_cli(["solve", str(instance), *argv], capsys)[:2]
 
 
 class TestLargestN:

@@ -5,6 +5,7 @@ tests/setup_reference.py and the line-by-line parser."""
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import given, seed
@@ -178,6 +179,22 @@ def test_format_hg_matches_loop(spec, comment):
     assert h.arrays[0].tolist() == ops.edge_matrix(h.edges)[0].tolist()
 
 
+# every digit count: 1, 9, 10, 99, ..., 10^17, 10^18 - 1; then ids of 19
+# digits, which the array pass leaves to the line parser
+_WIDE_IDS = [v for k in range(1, 19) for v in (10 ** (k - 1), 10**k - 1)] + [10**18, 2**63 - 1]
+
+
+@pytest.mark.parametrize("v", _WIDE_IDS)
+def test_format_hg_at_every_digit_count(v):
+    edges = [(1,)] if v == 1 else [(v,), (1, v), (v // 2 + 1, v)]
+    for h in (Hypergraph(v, edges), Hypergraph(2**63 - 1, [(1, v), _WIDE_IDS])):
+        text = format_hg(h, "c")
+        assert text == ref.format_hg(h, "c")
+        assert parse_hg(text) == h
+        fast = core._parse_hg_arrays(text)
+        assert fast == h if h.n < 10**18 else fast is None
+
+
 def test_format_hg_of_repeated_and_nested_edges():
     h = Hypergraph(12, [(9, 1), (1, 9), (3,), (12, 4, 5, 1), (3, 4), (3,)])
     assert format_hg(h, "x") == ref.format_hg(h, "x")
@@ -202,6 +219,10 @@ def _outcome(parse, text):
     except ValueError as exc:
         return "error", str(exc)
 
+
+# the line ends of str.splitlines other than "\n" (and "\r\n"), which the
+# array pass must not read past to find the header
+_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 # tokens the array pass leaves to the line parser (int() reads some of
 # them), or that fail its range check
@@ -236,7 +257,10 @@ def hg_texts(draw):
             lines.insert(i, "1 2")
         sep = draw(st.sampled_from([" ", "  ", "\t"])) if edit in (6, 7) else " "
         lines[i] = sep.join(tokens) + (" " if edit == 8 else "")
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    joints = [draw(st.sampled_from(["\n", "\r\n"]))] * (len(lines) - 1)
+    if joints and draw(st.booleans()):  # one line end other than "\n"
+        joints[draw(st.integers(0, len(joints) - 1))] = draw(st.sampled_from(_LINE_ENDS))
+    return "".join(chain.from_iterable(zip(lines, joints))) + lines[-1] if lines else ""
 
 
 def _agree(text):
@@ -294,6 +318,14 @@ def test_parse_hg_matches_line_parser(text):
         "3 2\n1 2\n# mid\n2 3\n",
         "12 1\n1_0 2\n",
         "3 1\n0001 3\n",
+        "4 2\n3 1 2\n4 1\n",  # rows not in increasing order
+        "3 1\n\ud800 2\n",  # not encodable
+        # another line end in a comment line, in the header line, in the body
+        *[
+            text.format(end)
+            for end in _LINE_ENDS
+            for text in ["# c{}5 1\n3 1\n1 2\n", "3{}1\n1 2\n", "3 2\n1 2{}2 3\n"]
+        ],
     ],
 )
 def test_parse_hg_matches_line_parser_on_fixed_texts(text):
