@@ -10,10 +10,10 @@ numbers the rows' proper subsets: its count tables give every degree pair
 columns of the row as built it still holds, to its new one, reading the
 masks' submasks from lists built once per width, :func:`_submasks`;
 :func:`hypermis.core.degree_profile` counts from scratch), and its holder
-lists the solver's containment search.  Equal keys are numbered and
-listed in one place, :func:`group`: one sort per subset size gives both
-the subset numbers and their holder lists, and the solver's pair lists
-come from the same routine.
+lists the solver's containment search.  Equal keys are ranked in one
+place, :func:`group`: one sort per subset size gives both the subset
+numbers and their holder lists, and the pair lists, the row dedupe, the
+ranks of :func:`lex_keys` and the generator's first draws use it too.
 
 Rows and subsets are matched by the int64 keys of :func:`lex_keys`, one
 scheme at any edge width and any n below 2^63: ids are bit-packed while
@@ -81,9 +81,9 @@ def remove_vertices(
 
 
 def distinct(x: np.ndarray, counts: bool = False):
-    """np.unique of a 1-d array, with the counts if asked: one sort, which
-    costs less than np.unique's overhead on small arrays and its hashing
-    on large ones."""
+    """The sorted distinct values of a 1-d array, with the count of each if
+    asked: one sort, which costs less than numpy's unique on small arrays
+    (its overhead) and on large ones (its hashing)."""
     x = np.sort(x)
     first = np.ones(len(x), dtype=bool)
     np.not_equal(x[1:], x[:-1], out=first[1:])
@@ -126,7 +126,8 @@ def csr_gather(ptr: np.ndarray, items: np.ndarray, lists: np.ndarray):
 
 def group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(num, ptr, order) of a 1-d array: num[i] is the rank of keys[i] among
-    the distinct keys, and the entries of rank g are order[ptr[g] : ptr[g + 1]]."""
+    the distinct keys, and the entries of rank g are order[ptr[g] : ptr[g + 1]],
+    in no set order: the sort is not stable."""
     order = np.argsort(keys)
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)  # first entry of its rank
@@ -170,7 +171,8 @@ def dedupe_rows(mat: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray,
     set equality); the rows left are in lexicographic order."""
     if mat.shape[0] <= 1:
         return mat, sizes
-    idx = np.unique(lex_keys(mat, n), return_index=True)[1]
+    _, ptr, order = group(lex_keys(mat, n))
+    idx = order[ptr[:-1]]  # any row of a rank: keys are equal only when rows are
     return mat[idx], sizes[idx]
 
 
@@ -225,8 +227,8 @@ def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
 
 def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank of each entry of `x` among its distinct values; bits it needs."""
-    uniq, rank = np.unique(x, return_inverse=True)
-    return rank.reshape(-1), max((len(uniq) - 1).bit_length(), 1)
+    rank, ptr, _ = group(x)
+    return rank, max((len(ptr) - 2).bit_length(), 1)
 
 
 def lex_keys(mat: np.ndarray, n: int) -> np.ndarray:

@@ -119,7 +119,8 @@ def eval_D(wh: WeightedHypergraph, p: float) -> float:
     subset x of it.  A total starts from the int 0 and takes its terms in
     edge order, as eval_P's sum does, so it is eval_P(wh, p, x) to the bit.
     """
-    eval_P(wh, p, ())  # checks p
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must lie in (0, 1]")
     totals: dict[tuple[int, ...], float] = {}
     for e, w in wh.weights.items():
         for t in range(len(e) + 1):
@@ -429,7 +430,7 @@ def _edge_columns(mat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.nd
     column, which changes no "every column marked" test."""
     mat = mat[:, : int(sizes.max(initial=1))]
     valid = ops.valid_mask(mat, sizes)
-    ids = np.unique(mat[valid])
+    ids = ops.distinct(mat[valid])
     return ids, np.searchsorted(ids, np.where(valid, mat, mat[:, :1]))
 
 

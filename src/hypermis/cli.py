@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -82,14 +83,7 @@ def _cmd_gen(args) -> int:
         dim=args.dim,
         dim_range=dim_range,
     )
-    _echo_config(
-        {
-            "command": "gen", "n": spec.n, "kind": spec.kind, "seed": spec.seed,
-            "m": spec.m, "edge_probability": spec.edge_probability,
-            "dim": spec.dim, "dim_range": list(dim_range) if dim_range else None,
-            "out": args.out,
-        }
-    )
+    _echo_config({"command": "gen", **dataclasses.asdict(spec), "out": args.out})
     h = generate.gen(spec)
     text_comment = f"kind={spec.kind} seed={spec.seed}"
     if args.out:
@@ -363,11 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d-cap", type=int, help="dimension cap override (sbl)")
     s.add_argument("--stop-threshold", type=int, help="residual size cutoff (sbl)")
     s.add_argument("--max-rounds", type=int)
-    s.add_argument("--retries", type=int, default=20, help="resamples per round (sbl)")
+    s.add_argument("--retries", type=int, default=sbl.SblConfig.max_retries_per_round,
+                   help="resamples per round (sbl)")
     s.add_argument(
         "--fail-policy",
         choices=[sbl.FAIL_ABORT, sbl.FAIL_FALLBACK_GREEDY],
-        default=sbl.FAIL_FALLBACK_GREEDY,
+        default=sbl.SblConfig.fail_policy,
     )
     s.add_argument(
         "--fixed-p", action="store_true",

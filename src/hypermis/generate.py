@@ -11,9 +11,9 @@ hypergraph.
 `uniform-d` keeps the first m distinct draws of `Stream.sample_ids`,
 drawn in blocks by `Stream.sample_rows`, which mixes many counters at
 once and hands only the windows with a repeated id or a rejected word to
-sample_ids; repeated edges are found by row keys, and InfeasibleError
-comes after exactly the draws a loop over sample_ids would make.  Every
-family builds its Hypergraph from the edge matrix.
+sample_ids; repeated edges are ranked by row keys in `_edgeops.group`, and
+InfeasibleError comes after exactly the draws a loop over sample_ids
+would make.  Every family builds its Hypergraph from the edge matrix.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def _gen_uniform(spec: GenSpec, stream: rng.Stream) -> np.ndarray:
             raise InfeasibleError(f"could not place {m} distinct edges")
         more = min(max(m - len(first), len(rows) // 4), limit - len(rows))
         rows = np.concatenate([rows, stream.sample_rows(n, d, more)])
-        first = np.unique(ops.lex_keys(rows, n), return_index=True)[1]
+        _, ptr, order = ops.group(ops.lex_keys(rows, n))
+        first = np.minimum.reduceat(order, ptr[:-1])
     if len(first) > m:  # keep the edges of the first m distinct draws
         first = first[first <= np.partition(first, m - 1)[m - 1]]
     return rows[first]

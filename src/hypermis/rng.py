@@ -207,7 +207,8 @@ class Stream:
 
         The words of a block of counters are mixed at once.  The k words
         from counter c are the draw at c, ending at c + k, when all pass
-        the rejection bound and give distinct ids; any other draw is made
+        the rejection bound and give distinct ids, and a run of such
+        windows is copied into `out` as one slice; any other draw is made
         by :meth:`sample_ids`, and the block resumes where it stops.
         """
         out = np.empty((count, k), dtype=np.int64)
@@ -228,24 +229,18 @@ class Stream:
             by_phase = [[] for _ in range(k)]
             for q in np.flatnonzero(bad).tolist():
                 by_phase[q % k].append(q)
-            runs = []  # (first draw, its window, draws) of each run of windows
             p = 0
-            while True:
+            while got < count and p < last:
                 phase = by_phase[p % k]
                 at = bisect_left(phase, p)
                 stop = phase[at] if at < len(phase) else last
                 run = min(len(range(p, stop, k)), count - got)
-                runs.append((got, p, run))
+                out[got : got + run] = ids[p : p + run * k].reshape(run, k)
                 got, p = got + run, p + run * k
-                if got == count or p >= last:
-                    break
-                self.counter = start + p
-                out[got] = self.sample_ids(n, k)
-                got, p = got + 1, self.counter - start
-            first, window, length = np.array(runs).T
-            step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
-            windows = np.repeat(window, length) + k * step
-            drawn = ids[windows[:, None] + np.arange(k)]
-            out[np.repeat(first, length) + step] = np.sort(drawn, axis=1)
+                if got < count and p < last:  # the window at p is bad
+                    self.counter = start + p
+                    out[got] = self.sample_ids(n, k)
+                    got, p = got + 1, self.counter - start
             self.counter = start + p
+        out.sort(axis=1)  # the draws of sample_ids are sorted already
         return out

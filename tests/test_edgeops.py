@@ -140,6 +140,10 @@ def test_row_keys_equal_exactly_when_rows_equal(case, repeats):
     ordered = [tuple(r) for r in mat.tolist()]
     less_row = np.array([[a < b for b in ordered] for a in ordered])
     assert ((keys[:, None] < keys[None, :]) == less_row).all()
+    # dedupe keeps one row of each distinct row, in key order, sizes beside
+    kept, sizes = ops.dedupe_rows(mat, np.count_nonzero(mat, axis=1), n)
+    assert [tuple(r) for r in kept.tolist()] == sorted(set(ordered))
+    assert (sizes == np.count_nonzero(kept, axis=1)).all()
 
 
 def test_ranked_keys_at_dim_5_and_n_2_20():

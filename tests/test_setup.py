@@ -8,7 +8,7 @@ import math
 from itertools import chain
 
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 import setup_reference as ref
@@ -80,6 +80,10 @@ def _rejecting_span(bound: int) -> int:
     st.integers(0, 400),
     st.integers(0, 2**32),
 )
+@example(4096, 4, 40, 23)  # the block's first window is bad: a run of 0 at its start
+@example(300, 5, 60, 24)  # a redraw ends on a bad window: a run of 0 between two redraws
+@example(300, 3, 50, 20)  # one run fills `count` and stops at a bad window right there
+@example(7, 6, 30, 0)  # nearly every window repeats an id: three blocks
 def test_sample_rows_replays_sample_ids(n, k, count, key):
     k = min(k, n)
     for span in (rng._span, _rejecting_span):
