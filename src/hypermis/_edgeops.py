@@ -5,15 +5,17 @@ sorted ascending in its first sizes[i] columns, padded with 0 (ids are
 1-based, so 0 never collides); a Hypergraph is one such matrix, read-only.
 Kernels keep rows sorted and never write to their input, which they may
 return as is; the one stateful piece is :class:`SubsetCounts`, which
-numbers the rows' proper subsets: its count tables give every degree pair
-(the marking solver moves each changed row from its old column mask, the
-columns of the row as built it still holds, to its new one, reading the
-masks' submasks from lists built once per width, :func:`_submasks`;
-:func:`hypermis.core.degree_profile` counts from scratch), and its holder
-lists the solver's containment search.  Equal keys are ranked in one
-place, :func:`group`: one sort per subset size gives both the subset
-numbers and their holder lists, and the pair lists, the row dedupe, the
-ranks of :func:`lex_keys` and the generator's first draws use it too.
+gives the rows' proper subsets one number each, across all sizes, that
+indexes both its counts and its holder lists: the counts give every
+degree pair (the marking solver moves each changed row from its old
+column mask, the columns of the row as built it still holds, to its new
+one, reading the masks' submasks from lists built once per width,
+:func:`_submasks`; :func:`hypermis.core.degree_profile` counts from
+scratch), and the holder lists the solver's containment search.  Equal
+keys are ranked in one place, :func:`group`: one sort per subset size
+gives both the subset numbers and their holder lists, and the pair
+lists, the row dedupe, the ranks of :func:`lex_keys` and the
+generator's first draws use it too.
 
 Rows and subsets are matched by the int64 keys of :func:`lex_keys`, one
 scheme at any edge width and any n below 2^63: ids are bit-packed while
@@ -184,17 +186,15 @@ def _combos(s: int, t: int) -> np.ndarray:
     return idx
 
 
-_LIST_BITS = 12  # the widest submask list: 3^12 entries, 2 MiB
+_LIST_BITS = 12  # the widest submask list: 3^12 entries, 1 MiB
 MAX_NUMBERED_IDS = 59  # a row keeps 2^size intp subset numbers; an array holds < 2^63 bytes
 
 
 @cache
-def _submasks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ptr, subs, table): the submasks of each mask m below 2^width are
-    subs[ptr[m] : ptr[m + 1]], 2^popcount(m) of them, 0 first and m last;
-    m of s bits and subs[e] of t give table[e] = (s - 1)(s - 2) / 2 - 1 +
-    t, the number of the count table (s, t) in :class:`SubsetCounts` for
-    0 < t < s.  3^width entries, read-only, in narrow dtypes.
+def _submasks(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, subs): the submasks of each mask m below 2^width are
+    subs[ptr[m] : ptr[m + 1]], 2^popcount(m) of them, 0 first and m last.
+    3^width entries, read-only, subs in a narrow dtype.
 
     Built one bit at a time: the list of m | bit, for m below bit, is
     that of m followed by each of its entries with bit set.
@@ -210,13 +210,10 @@ def _submasks(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         high[at + cnt[mask]] = subs | (1 << b)
         ptr = np.concatenate([ptr[:-1], len(subs) + 2 * ptr])
         subs = np.concatenate([subs, high])
-    s = np.bitwise_count(np.arange(1 << width)).astype(np.int16)
-    table = np.repeat((s - 1) * (s - 2) // 2 - 1, np.diff(ptr))
-    table += np.bitwise_count(subs)
     ptr = ptr.astype(np.intp)
-    for a in ptr, subs, table:
+    for a in ptr, subs:
         a.flags.writeable = False
-    return ptr, subs, table
+    return ptr, subs
 
 
 def _subsets(rows: np.ndarray, t: int) -> np.ndarray:
@@ -317,21 +314,21 @@ class SubsetCounts:
     construction it still holds (all sizes[i] of them then; a row of size
     0 counts nothing).  A t-subset is numbered by the rank of its key
     among the t-subsets of all rows at construction, so only subsets of
-    those rows can be counted, which holds while rows only shrink.  The
-    subset of row i over the columns of submask u has number
-    sub[first[i] + u]: a row of size s keeps 2^s entries of `sub`, one
-    per u, of which those of the proper non-empty u are used, and the
-    rows of each size lie in one block.  The table of each
-    (s, t) in `tables`, number (s - 1)(s - 2) / 2 - 1 + t, holds one
-    count per t-subset, the number of counted rows of size s holding it;
-    the tables lie end to end in `count`, table i from starts[i]; every
-    table is non-empty, and :meth:`pairs` reads each table's largest
-    count when it is asked.  A row moves by the proper non-empty
-    submasks of its old and new masks, read from the lists of
-    :func:`_submasks`, so its cost is their number, not 2^s per mask.
-    The rows at construction holding t-subset g as a proper subset are
-    held[ptr[h] : ptr[h + 1]], h = below[t] + g, in no set order: the
-    sort of :func:`group` that numbers the t-subsets lists them too.
+    those rows can be counted, which holds while rows only shrink.  One
+    number g serves all sizes: the t-subsets take the numbers below[t - 1]
+    to below[t] - 1.  The subset of row i over the columns of submask u
+    has number sub[first[i] + u]: a row of size s keeps 2^s entries of
+    `sub`, one per u, of which those of the proper non-empty u are used,
+    and the rows of each size lie in one block.  count[off[s] + g], for g
+    below below[s - 1], is the number of counted rows of size s holding
+    subset g, so the counts of the t-subsets in rows of size s are one
+    run from off[s] + below[t - 1], never empty; :meth:`pairs` reads each
+    run's largest count when it is asked.  A row moves by
+    the proper non-empty submasks of its old and new masks, read from
+    the lists of :func:`_submasks`, so its cost is their number, not 2^s
+    per mask.  The rows at construction holding subset g as a proper
+    subset are held[ptr[g] : ptr[g + 1]], in no set order: the sort of
+    :func:`group` that numbers the t-subsets lists them too.
     """
 
     def __init__(self, mat: np.ndarray, sizes: np.ndarray, n: int):
@@ -351,14 +348,13 @@ class SubsetCounts:
         # every row of size s holds 2^s - 2 proper non-empty subsets
         self.held = np.empty(sum(len(i) * ((1 << s) - 2) for s, i in owners.items() if s > 1),
                              dtype=np.intp)
-        nkeys, ptrs, at, blocks = [0], [], 0, {}
+        below, ptrs, at, blocks = [0], [], 0, {}
         for t in range(1, width):
             larger = [s for s in present if s > t]
             # subset j of row i of the k size-s rows is entry j * k + i of
             # their part, keyed in one call, so that ranks compare across sizes
             num, ptr, order = group(lex_keys(np.concatenate(
                 [_subsets(mat[owners[s], :s], t) for s in larger], axis=1).T, n))
-            nkeys.append(len(ptr) - 1)
             row = np.concatenate([np.tile(owners[s], _combos(s, t).shape[1]) for s in larger])
             row.take(order, out=self.held[at : at + len(order)], mode="clip")  # raise mode buffers out
             ptrs.append(at + ptr[:-1])
@@ -367,24 +363,24 @@ class SubsetCounts:
             for s, part in zip(larger, np.split(num, cuts)):
                 k, lo = len(owners[s]), self.first[owners[s][0]]
                 runs = self.sub[lo : lo + (k << s)].reshape(k, 1 << s)
+                blocks[s, t] = np.bincount(part, minlength=len(ptr) - 1)
+                part += below[-1]
                 runs[:, np.left_shift(1, _combos(s, t)).sum(axis=0)] = part.reshape(-1, k).T
-                blocks[s, t] = np.bincount(part, minlength=nkeys[t])
+            below.append(below[-1] + len(ptr) - 1)
         self.ptr = np.concatenate([*ptrs, [at]])
-        del ptrs  # not held beside ptr while the count tables are built
-        self.below = np.cumsum([0, *nkeys])  # nkeys[t] t-subsets
-        self.tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
-        self.starts = np.cumsum([0, *(nkeys[t] for _, t in self.tables)])
-        self.count = np.zeros(self.starts[-1], dtype=np.intp)
-        for lo, table in zip(self.starts, self.tables):
-            if table in blocks:
-                self.count[lo : lo + len(blocks[table])] = blocks[table]
+        del ptrs  # not held beside ptr while the counts are built
+        self.below = np.array(below)
+        self.off = np.cumsum([0, 0, 0, *below[1:]])
+        self.count = np.zeros(self.off[-1], dtype=np.intp)
+        for (s, t), block in blocks.items():
+            lo = self.off[s] + below[t - 1]
+            self.count[lo : lo + len(block)] = block
 
     def holders(self, rows: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, q) for every row q at construction holding the subset of
         row rows[k] over its proper non-empty column submask masks[k] (a
         row equal to it is not listed; normalized rows hold none)."""
-        g = self.sub[self.first[rows] + masks]
-        return csr_gather(self.ptr, self.held, self.below[np.bitwise_count(masks)] + g)
+        return csr_gather(self.ptr, self.held, self.sub[self.first[rows] + masks])
 
     def recount(self, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Move each of the distinct rows `rows` from column mask old[i]
@@ -394,7 +390,7 @@ class SubsetCounts:
         width, or for wider rows from that of the low _LIST_BITS bits,
         joined with each submask of the high bits."""
         low = min(self.width, _LIST_BITS)
-        ptr, subs, table = _submasks(low)
+        ptr, subs = _submasks(low)
         masks = np.concatenate([old, new])
         rows = np.concatenate([rows, rows])
         part, base, nold = masks, self.first[rows], len(old)
@@ -404,19 +400,17 @@ class SubsetCounts:
             # joins each submask of its low bits, but for h = 0 not 0, and
             # for h = m's high bits not m's low bits
             top = masks >> low
-            k, h = csr_gather(*_submasks(self.width - low)[:2], top)
-            part, top, nold = masks[k] & ((1 << low) - 1), top[k], (k < nold).sum()
+            k, h = csr_gather(*_submasks(self.width - low), top)
+            masks = masks[k]
+            part, top, nold = masks & ((1 << low) - 1), top[k], (k < nold).sum()
             base = base[k] + (h.astype(np.intp) << low)
             skip_first, skip_last = h == 0, h == top
-            s, t = (np.bitwise_count(x).astype(np.intp) for x in (masks[k], part))
-            shift = (s - 1) * (s - 2) // 2 - (t - 1) * (t - 2) // 2 + np.bitwise_count(h)
         # entries lo .. lo + cnt - 1 of the list for each (row, mask, h)
         lo = ptr[part] + skip_first
         cnt = np.maximum(ptr[part + 1] - skip_last - lo, 0)
         at = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-        num = np.repeat(base, cnt) + subs[at]
-        tab = table[at] if self.width == low else table[at] + np.repeat(shift, cnt)
-        found = self.starts[tab] + self.sub[num]
+        found = (self.sub[np.repeat(base, cnt) + subs[at]]
+                 + np.repeat(self.off[np.bitwise_count(masks)], cnt))
         split = cnt[:nold].sum()  # the old masks' entries come first
         np.subtract.at(self.count, found[:split], 1)
         np.add.at(self.count, found[split:], 1)
@@ -427,12 +421,14 @@ class SubsetCounts:
         ascending: count rows of size s share a subset of size s - j, a
         normalized degree of count^(1/j).  Among equal degrees the largest
         j wins."""
-        by_size: dict[int, list[tuple[int, int]]] = {}
-        top = np.maximum.reduceat(self.count, self.starts[:-1]).tolist()
-        for (s, t), c in zip(self.tables, top):
+        found = {}
+        for s in range(2, self.width + 1):
             if nsize[s]:
-                by_size.setdefault(s, []).append((c, s - t))
-        return {s: best_pair(p) for s, p in by_size.items()}
+                # the counts of t = 1 .. s - 1, each a block from below[t - 1]
+                top = np.maximum.reduceat(self.count[self.off[s] : self.off[s + 1]],
+                                          self.below[: s - 1])
+                found[s] = best_pair(zip(top.tolist(), range(s - 1, 0, -1)))
+        return found
 
     def best(self, nsize: np.ndarray) -> tuple[int, int] | None:
         """Best pair over all sizes of :meth:`pairs`; among equal degrees

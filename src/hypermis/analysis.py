@@ -90,6 +90,11 @@ class WeightedHypergraph:
         return f"WeightedHypergraph({self.base!r})"
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p <= 1.0:  # NaN too
+        raise ValueError("p must lie in (0, 1]")
+
+
 def eval_S(wh: WeightedHypergraph, coloring: Iterable[int]) -> float:
     """Realized value of the edge polynomial: total weight of edges fully
     inside the marked set."""
@@ -100,8 +105,7 @@ def eval_S(wh: WeightedHypergraph, coloring: Iterable[int]) -> float:
 def eval_P(wh: WeightedHypergraph, p: float, x: Iterable[int]) -> float:
     """Conditional expectation of S given that x is fully marked:
     sum over edges containing x of w(e) * p^(|e|-|x|)."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _check_p(p)
     xt = vertex_tuple(x)
     xs = set(xt)
     return sum(
@@ -119,8 +123,7 @@ def eval_D(wh: WeightedHypergraph, p: float) -> float:
     subset x of it.  A total starts from the int 0 and takes its terms in
     edge order, as eval_P's sum does, so it is eval_P(wh, p, x) to the bit.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _check_p(p)
     totals: dict[tuple[int, ...], float] = {}
     for e, w in wh.weights.items():
         for t in range(len(e) + 1):
@@ -262,8 +265,7 @@ def kelsen_constants(
         raise ValueError("bound constants need n >= 3")
     if d < 1 or m < 1:
         raise ValueError("bound constants need at least one edge")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    _check_p(p)
     L = math.log2(n)
     delta = L * L if delta_param is None else float(delta_param)
     if not delta > 1.0:  # NaN too
@@ -351,8 +353,7 @@ def chernoff_lower_tail(p: float, n: int, a: float) -> float:
 def _check_trials(trials: int, p: float) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0.0 < p <= 1.0:  # NaN too
-        raise ValueError("p must lie in (0, 1]")
+    _check_p(p)
 
 
 def _estimate(exceed: int, trials: int, threshold: float) -> TailEstimate:

@@ -25,7 +25,7 @@ vertex->edge incidence list, :meth:`State.cleanup` clears the bits of
 the committed vertices in just the rows holding one and drops the live
 rows holding a changed row (from subset holder lists, or pair holder
 lists in a state that reads no degree), and delta is read from
-subset-count tables moved with those rows' masks (reused as is after a
+subset counts moved with those rows' masks (reused as is after a
 round that changed none).  Membership tests in a round are lookups, not
 binary searches: the state numbers the vertex of each entry of its rows,
 so the cleanup finds the committed ids of the rows it touches by reading

@@ -33,7 +33,12 @@ one at a time, ``rng.marks``), ``block_draws`` (``rng.mark_grid``) and
 that ``SubsetCounts.recount`` reads, ``submask_pairs_per_recount``.  A
 sampling run also prints ``outer_cleanup_ms_per_round``, the wall time
 of the blue shrink's ``State.cleanup`` on the outer state (not the inner
-runs'), from one more pass with a timer around it.  Imports hypermis
+runs'), from one more pass with a timer around it.  Two memory figures
+close the output: ``submask_cache_bytes``, what the lists cached by
+``_edgeops._submasks`` keep after the runs, and
+``subset_counts_build_peak_bytes``, the tracemalloc peak of one
+``SubsetCounts`` build on the instance's matrix as it is (as
+``core.degree_profile`` builds it).  Imports hypermis
 from the ``src/`` beside this directory, so a copy of the script in
 another checkout measures that checkout.
 Not collected by pytest (the name does not start with ``test_``).
@@ -46,6 +51,7 @@ import cProfile
 import pstats
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -162,6 +168,34 @@ def work_counts(solve_all) -> dict[str, int]:
     return seen
 
 
+def submask_cache_bytes(solve_all) -> int:
+    """Bytes of the submask lists that `solve_all` reads, all of which
+    ``_edgeops._submasks`` keeps cached after it."""
+    submasks, widths = _edgeops._submasks, set()
+
+    def seen_submasks(width):
+        widths.add(width)
+        return submasks(width)
+
+    _edgeops._submasks = seen_submasks
+    try:
+        solve_all()
+    finally:
+        _edgeops._submasks = submasks
+    return sum(a.nbytes for w in widths for a in submasks(w))
+
+
+def build_peak_bytes(h) -> int:
+    """tracemalloc peak of one ``SubsetCounts`` build on `h`'s matrix."""
+    mat, sizes = h.arrays
+    tracemalloc.start()
+    try:
+        _edgeops.SubsetCounts(mat, sizes, h.n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     dim_range = tuple(map(int, args.dim_range.split(":"))) if args.dim_range else None
@@ -211,6 +245,8 @@ def main(argv=None) -> int:
     print(f"recounts: {recounts}, submask_pairs_per_recount: {pairs / max(recounts, 1):.1f}")
     if args.sbl_p is not None:
         print(f"outer_cleanup_ms_per_round: {per_round * outer_cleanup_seconds(solve_all):.4f}")
+    print(f"submask_cache_bytes: {submask_cache_bytes(solve_all)}")
+    print(f"subset_counts_build_peak_bytes: {build_peak_bytes(h)}")
     return 0
 
 

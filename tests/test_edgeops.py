@@ -272,10 +272,22 @@ def test_cached_arrays_are_read_only_and_kept(h):
     assert (mat == want[0]).all() and (sizes == want[1]).all()
 
 
+def count_tables(counts):
+    """The (s, t) of each count table of `counts`: rows of size s, their
+    t-subsets."""
+    return [(s, t) for s in range(2, counts.width + 1) for t in range(1, s)]
+
+
+def table(counts, s, t):
+    """The counts of the t-subsets in the rows of size s, one per t-subset."""
+    lo = counts.off[s]
+    return counts.count[lo + counts.below[t - 1] : lo + counts.below[t]]
+
+
 def naive_tops(rows, counts):
     """The largest count of each table of `counts`, by counting subsets."""
     found = {}
-    for s, t in counts.tables:
+    for s, t in count_tables(counts):
         tally = Counter(x for e in rows if len(e) == s for x in combinations(e, t))
         found[s, t] = max(tally.values(), default=0)
     return found
@@ -309,8 +321,7 @@ def test_subset_counts_follow_shrinking_rows(h, data):
         if changed:
             new = [cols[i] for i in changed]
             counts.recount(*(np.array(a, dtype=np.int64) for a in (changed, old, new)))
-        tops = np.maximum.reduceat(counts.count, counts.starts[:-1]).tolist()
-        got = dict(zip(counts.tables, tops))
+        got = {(s, t): int(table(counts, s, t).max()) for s, t in count_tables(counts)}
         assert got == naive_tops([rows[i] for i in live], counts)
         lm, ls = ops.edge_matrix([rows[i] for i in live])
         present = np.bincount(ls, minlength=h.dim + 1)
@@ -319,24 +330,20 @@ def test_subset_counts_follow_shrinking_rows(h, data):
 
 @pytest.mark.parametrize("width", range(9))
 def test_submask_lists_match_brute_force(width):
-    # every submask of each mask once, 0 first and the mask last, each
-    # entry's table the (s, t) of the mask's and its own bit counts
-    ptr, subs, table = ops._submasks(width)
+    # every submask of each mask once, 0 first and the mask last
+    ptr, subs = ops._submasks(width)
     assert len(subs) == 3 ** width and not subs.flags.writeable
-    tables = [(s, t) for s in range(2, width + 1) for t in range(1, s)]
     for m in range(1 << width):
         got = subs[ptr[m] : ptr[m + 1]].tolist()
         assert sorted(got) == [u for u in range(1 << width) if u & ~m == 0]
         assert got[0] == 0 and got[-1] == m
-        for u, tab in zip(got[1:-1], table[ptr[m] + 1 : ptr[m + 1] - 1].tolist()):
-            assert tables[tab] == (m.bit_count(), u.bit_count())
 
 
 def table_counts(counts):
     """The sorted non-zero counts of each table: what a count of the same
     rows gives whatever its subset numbering."""
-    return {table: sorted(c for c in counts.count[lo:hi].tolist() if c)
-            for table, lo, hi in zip(counts.tables, counts.starts, counts.starts[1:])}
+    return {(s, t): sorted(c for c in table(counts, s, t).tolist() if c)
+            for s, t in count_tables(counts)}
 
 
 @seed(1405_1133)
@@ -371,6 +378,20 @@ def test_recount_of_wide_rows_matches_a_fresh_count(width, data):
         got = {k: v for k, v in table_counts(counts).items() if v}
         assert got == {k: v for k, v in table_counts(fresh).items() if v}
         assert counts.best(np.bincount(ls, minlength=width + 1)) == fresh.best(np.bincount(ls))
+
+
+@seed(1405_1133)
+@given(hypergraphs())
+def test_counts_and_holder_lists_share_one_subset_number(h):
+    # subset g's count among the rows of size s and its holder list g
+    # read one number: the list holds count[off[s] + g] rows of size s
+    mat, sizes = ops.edge_matrix(h.edges)
+    counts = ops.SubsetCounts(mat, sizes, h.n)
+    g = np.repeat(np.arange(len(counts.ptr) - 1), np.diff(counts.ptr))
+    held = sizes[counts.held]
+    for s in range(2, counts.width + 1):
+        want = np.bincount(g[held == s], minlength=counts.below[s - 1])
+        assert counts.count[counts.off[s] : counts.off[s + 1]].tolist() == want.tolist()
 
 
 @seed(1405_1133)
