@@ -117,6 +117,10 @@ class SolverResult:
     rounds: list[RoundRecord] = field(default_factory=list)
     status: str = STATUS_OK
 
+    def summary(self) -> dict:
+        """The fields `hypermis solve` prints after mis, algo and seed, in order."""
+        return {"status": self.status, "rounds_used": len(self.rounds)}
+
     def trace_jsonl(self) -> str:
         return "".join(rec.to_json_line() + "\n" for rec in self.rounds)
 

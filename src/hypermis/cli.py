@@ -108,8 +108,8 @@ def _solve_config(args, h: Hypergraph) -> dict:
         )
     if args.algo == "sbl":
         scfg = _sbl_config(args)
+        cfg.update(retries=scfg.max_retries_per_round, fail_policy=scfg.fail_policy)
         if h.n < 2:  # degenerate instance: the solver takes the direct path
-            cfg.update(retries=scfg.max_retries_per_round, fail_policy=scfg.fail_policy)
             return cfg
         params = sbl.derive_params(h.n, h.m, scfg)
         max_rounds = scfg.max_rounds or sbl.default_max_rounds(h.n, params.p)
@@ -117,9 +117,7 @@ def _solve_config(args, h: Hypergraph) -> dict:
         d_analysis = math.log2(r * max(h.m, 1) * h.n) / math.log2(1.0 / params.p) - 1.0
         cfg.update(
             p=params.p, d_cap=params.d, stop_threshold=params.stop_threshold,
-            max_rounds=max_rounds, retries=scfg.max_retries_per_round,
-            fail_policy=scfg.fail_policy,
-            within_edge_bound=params.within_edge_bound,
+            max_rounds=max_rounds, within_edge_bound=params.within_edge_bound,
             d_suggested_by_analysis=d_analysis if math.isfinite(d_analysis) else None,
         )
     return cfg
@@ -152,31 +150,19 @@ def _cmd_solve(args) -> int:
     h = load_hg(args.input)
     _echo_config(_solve_config(args, h))
     _edge_bound_warning(h)
-    trace = ""
-    extra = {}
     if args.algo == "greedy":
         mis = greedy_mis(h, bl.vertex_array(None, h.n).tolist())
-        status = "ok"
-    elif args.algo == "bl":
-        res = bl.run_bl(h, _bl_config(args))
-        mis, status, trace = res.mis, res.status, res.trace_jsonl()
-        extra["rounds_used"] = len(res.rounds)
+        summary, trace = {"status": "ok"}, ""
     else:
-        res = sbl.run_sbl(h, _sbl_config(args))
-        mis, status, trace = res.mis, res.status, res.trace_jsonl()
-        extra.update(
-            rounds_used=len(res.rounds),
-            retries_total=res.retries_total,
-            fallback=res.fallback,
-            exit_reason=res.exit_reason,
-        )
+        res = (bl.run_bl(h, _bl_config(args)) if args.algo == "bl"
+               else sbl.run_sbl(h, _sbl_config(args)))
+        mis, summary, trace = res.mis, res.summary(), res.trace_jsonl()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace)
-    doc = {"mis": list(mis), "algo": args.algo, "seed": args.seed, "status": status}
-    doc.update(extra)
+    doc = {"mis": list(mis), "algo": args.algo, "seed": args.seed, **summary}
     sys.stdout.write(json.dumps(doc) + "\n")
-    return 0 if status == "ok" else 1
+    return 0 if summary["status"] == "ok" else 1
 
 
 def _cmd_verify(args) -> int:

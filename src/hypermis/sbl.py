@@ -33,7 +33,6 @@ everything is overridable.  All logarithms are base 2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -204,16 +203,10 @@ class SblResult(SolverResult):
         """Dimension-gate resamples, summed over the rounds."""
         return sum(rec.retries for rec in self.rounds)
 
-    def result_json(self) -> str:
-        return json.dumps(
-            {
-                "mis": list(self.mis),
-                "status": self.status,
-                "rounds_used": len(self.rounds),
-                "retries_total": self.retries_total,
-                "fallback": self.fallback,
-            }
-        )
+    def summary(self) -> dict:
+        """SolverResult's fields, then the gate resamples, the finisher and why the loop stopped."""
+        return {**super().summary(), "retries_total": self.retries_total,
+                "fallback": self.fallback, "exit_reason": self.exit_reason}
 
 
 Sampler = Callable[[int, np.ndarray], np.ndarray]
@@ -296,11 +289,7 @@ def sbl_round(
     touched = ops.distinct(rows[is_blue[k]])
     shrunk, _ = state.cleanup(blue, touched[state.size[touched] > 0])
     state.alive = ops.without(alive, sampled)
-    rec.bl_summary = {
-        "status": bl_res.status,
-        "rounds_used": len(bl_res.rounds),
-        "mis_size": len(bl_res.mis),
-    }
+    rec.bl_summary = {**bl_res.summary(), "mis_size": len(bl_res.mis)}
     rec.edges_removed_red = len(dropped)
     rec.edges_shrunk = len(shrunk)
     rec.remaining_vertices = len(state.alive)

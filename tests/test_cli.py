@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from hypermis import bl, sbl
+from hypermis.baseline import greedy_mis
 from hypermis.cli import main
+from hypermis.core import load_hg
 
 
 def run_cli(argv, capsys):
@@ -113,6 +116,34 @@ class TestSolve:
             traces.append(trace.read_bytes())
         assert outs[0] == outs[1]
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize(
+        "algo, d_cap, exit_reason",
+        [
+            ("bl", None, None),
+            ("sbl", 2, sbl.EXIT_STOP_THRESHOLD),
+            ("sbl", 3, sbl.EXIT_BL_DIRECT),
+            ("greedy", None, None),
+        ],
+    )
+    def test_solve_document_is_the_result_summary(self, instance, capsys, algo, d_cap, exit_reason):
+        flags = ["--p", "0.3", "--d-cap", str(d_cap)] if d_cap else []
+        code, out, _ = run_cli(
+            ["solve", str(instance), "--algo", algo, "--seed", "7", *flags], capsys
+        )
+        h = load_hg(str(instance))
+        if algo == "greedy":
+            mis, summary = greedy_mis(h, list(range(1, h.n + 1))), {"status": "ok"}
+        else:
+            res = (
+                bl.run_bl(h, bl.BlConfig(seed=7)) if algo == "bl"
+                else sbl.run_sbl(h, sbl.SblConfig(seed=7, p_override=0.3, d_cap_override=d_cap))
+            )
+            mis, summary = res.mis, res.summary()
+            assert exit_reason is None or summary["exit_reason"] == exit_reason
+        want = {"mis": list(mis), "algo": algo, "seed": 7, **summary}
+        doc = json.loads(out)
+        assert code == 0 and doc == want and list(doc) == list(want)
 
     def test_config_echo_includes_resolved_params(self, instance, capsys):
         _, _, err = run_cli(

@@ -10,7 +10,7 @@ from hypermis.core import Hypergraph, is_maximal_independent
 from hypermis.generate import KIND_UNIFORM, GenSpec, gen
 from hypermis import _edgeops as ops
 from hypermis import sbl
-from hypermis.bl import STATUS_OK, STATUS_ROUND_LIMIT, SolverResult, make_state
+from hypermis.bl import STATUS_OK, STATUS_ROUND_LIMIT, BlConfig, SolverResult, make_state, run_bl
 from hypermis.sbl import (
     EXIT_BL_DIRECT,
     EXIT_DIMENSION_GATE,
@@ -38,11 +38,11 @@ def force(ids):
 
 def assert_exit_facts(res, exit_reason):
     """The result's exit, the finisher that follows from it, and the
-    retry total read from its records, as reported in result_json."""
+    retry total read from its records, as reported in its summary."""
     assert res.exit_reason == exit_reason
     assert res.fallback == (FALLBACK_BL_DIRECT if exit_reason == EXIT_BL_DIRECT else FALLBACK_GREEDY)
     assert res.retries_total == sum(rec.retries for rec in res.rounds)
-    doc = json.loads(res.result_json())
+    doc = res.summary()
     assert (doc["fallback"], doc["retries_total"]) == (res.fallback, res.retries_total)
 
 
@@ -288,12 +288,19 @@ class TestRunSbl:
         a, b = run_sbl(h, cfg), run_sbl(h, cfg)
         assert a.mis == b.mis
         assert a.trace_jsonl() == b.trace_jsonl()
-        assert a.result_json() == b.result_json()
+        assert a.summary() == b.summary()
 
-    def test_result_json_fields(self):
-        res = run_sbl(H0, SblConfig(seed=5, p_override=0.35, d_cap_override=3))
-        doc = json.loads(res.result_json())
-        assert list(doc) == ["mis", "status", "rounds_used", "retries_total", "fallback"]
+    def test_summary_fields(self):
+        h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
+        res = run_sbl(h, SblConfig(seed=9, p_override=0.35, d_cap_override=3))
+        assert list(res.summary()) == [
+            "status", "rounds_used", "retries_total", "fallback", "exit_reason",
+        ]
+        assert list(run_bl(H0, BlConfig(seed=5)).summary()) == ["status", "rounds_used"]
+        completed = [rec.bl_summary for rec in res.rounds if rec.bl_summary is not None]
+        assert completed
+        for summary in completed:
+            assert list(summary) == ["status", "rounds_used", "mis_size"]
 
     def test_trace_fields(self):
         h = gen(GenSpec(n=60, kind=KIND_UNIFORM, seed=5, m=40, dim=6))
