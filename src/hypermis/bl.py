@@ -30,15 +30,17 @@ round that changed none).  Membership tests in a round are lookups, not
 binary searches: the state numbers the vertex of each entry of its rows,
 so the cleanup finds the committed ids of the rows it touches by reading
 a flag per vertex number, and a test of rows against rows reads a flag
-per row.  A round whose marks lie in no row, with no singleton edge
-left, changes only the vertex set, and delta and p stay as they are; so
+per row.  A round that marks no id, after a round (which leaves no
+singleton edge), changes nothing, and delta and p stay as they are; so
 after such a round the coins of a block of rounds are drawn as one grid
-(row r keyed as round r's own coins), the leading rounds that change no
-row only get their records, and the first that does runs as usual.  The
-block doubles from 1 while its rounds change no row and is cut at the
-round cap and at _BLOCK_CELLS coins.  The sampling solver runs its
-rounds on the same state, which numbers only the pairs of its rows,
-however wide, and its inner marking runs on the induced rows, compacted.
+(row r keyed as round r's own coins), the leading rounds that mark
+nothing only get their records, and the first that marks an id runs as
+usual.  The block doubles from 1 while its rounds mark nothing and is
+cut at the round cap and at _BLOCK_CELLS coins; round 0 is always drawn
+alone, since it may still drop singleton edges.  The sampling solver
+runs its rounds on the same state, which numbers only the pairs of its
+rows, however wide, and its inner marking runs on the induced rows,
+compacted.
 A run on a Hypergraph checks its result once, against the input, with
 :func:`hypermis.core.is_maximal_independent`.
 
@@ -396,32 +398,6 @@ def _mark_round(state: State, marked: np.ndarray, p: float, delta: float, rnd: i
     return BlRoundRecord(rnd, *ids, len(state.alive), state.m, delta, p), added
 
 
-def _quiet_rounds(state: State, marks: np.ndarray, rnd: int, p: float, delta: float):
-    """Run the leading rounds of a block that change no row: marks[r] marks
-    the alive ids of round rnd + r.  The block follows a round, which
-    leaves no singleton row, so a round changes no row when no id it
-    marks lies in a live row; it commits the ids it marks first and
-    leaves delta, p and the rows as they are.  Returns the records of
-    those rounds, the ids they commit, and the ids that the first other
-    round marks, among those still alive (None if every round is quiet)."""
-    alive = state.alive
-    first = marks.argmax(axis=0)  # the round that marks each id first
-    hit = np.flatnonzero(marks[first, np.arange(len(alive))])
-    k, _ = state.incidences(alive[hit])
-    busy = int(first[hit[k]].min(initial=len(marks)))
-    done = hit[first[hit] < busy]  # ids in no live row, committed before round busy
-    done = done[np.argsort(first[done], kind="stable")]
-    ids, records, start = alive[done], [], 0
-    flat = ids.tolist()
-    for r, end in enumerate(np.cumsum(np.bincount(first[done], minlength=busy)).tolist()):
-        marked, start = tuple(flat[start:end]), end
-        left = len(alive) - end
-        records.append(BlRoundRecord(rnd + r, marked, (), marked, left, state.m, delta, p))
-    gone = ops.flags(len(alive), done)
-    state.alive = alive[~gone]
-    return records, ids, None if busy == len(marks) else alive[marks[busy] & ~gone]
-
-
 def run_bl(
     h: Hypergraph | State,
     cfg: BlConfig,
@@ -448,7 +424,7 @@ def run_bl(
     key = rng.derive_key(cfg.seed, rng.TAG_BL_MARK)  # round r's coins: rng.fold(key, r)
     records: list[BlRoundRecord] = []
     added = [vertices[:0]]  # the ids each round commits
-    block = 1  # rounds drawn at once: doubles while rounds change no row
+    block = 1  # rounds drawn at once: doubles while rounds mark nothing
     while len(state.alive) and len(records) < max_rounds:
         rnd = len(records)
         if state.m == 0:
@@ -463,17 +439,18 @@ def run_bl(
             marked = state.alive[rng.marks(rng.fold(key, rnd), state.alive, p)]
         else:
             marks = rng.mark_grid(key, np.arange(rnd, rnd + size), state.alive, p)
-            quiet, ids, marked = _quiet_rounds(state, marks, rnd, p, delta)
-            records += quiet
-            added.append(ids)
-            if marked is None:
+            busy = marks.any(axis=1)
+            empty = int(busy.argmax()) if busy.any() else size
+            for r in range(rnd, rnd + empty):
+                records.append(BlRoundRecord(r, (), (), (), len(state.alive), state.m, delta, p))
+            if empty == size:
                 block *= 2
                 continue
-        moves = state.moves
+            marked = state.alive[marks[empty]]
         rec, ids = _mark_round(state, marked, p, delta, len(records))
         records.append(rec)
         added.append(ids)
-        block = 1 if state.moves > moves else 2 * block
+        block = 1 if len(marked) else 2 * block
 
     status = STATUS_OK if len(state.alive) == 0 else STATUS_ROUND_LIMIT
     mis = tuple(np.sort(np.concatenate(added)).tolist())

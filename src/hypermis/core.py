@@ -337,25 +337,26 @@ def _parse_hg_arrays(text: str) -> Hypergraph | None:
 
 
 def _parse_hg_lines(text: str) -> Hypergraph:
+    # (1-based line number, stripped text) of each non-comment line
     lines = [
-        ln.strip()
-        for ln in text.splitlines()
+        (no, ln.strip())
+        for no, ln in enumerate(text.splitlines(), 1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines:
         raise ValueError("empty .hg input")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"header must be 'n m', got {lines[0][1]!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise _line_error(text, 0, exc) from None
+        raise ValueError(f"line {lines[0][0]}: {exc}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
     try:
-        for ln in lines[1:]:
+        for _, ln in lines[1:]:
             ids = [int(tok) for tok in ln.split()]
             if len(ids) != len(set(ids)):
                 raise ValueError(f"duplicate vertex id in edge line {ln!r}")
@@ -366,18 +367,7 @@ def _parse_hg_lines(text: str) -> Hypergraph:
         if bad == m:  # all parsed: Hypergraph rejected an edge's range, or n (the header)
             out_of_range = (i for i, e in enumerate(edges) if n >= 0 and (min(e) < 1 or max(e) > n))
             bad = next(out_of_range, -1)
-        raise _line_error(text, bad + 1, exc) from None
-
-
-def _line_error(text: str, index: int, exc: ValueError) -> ValueError:
-    """`exc` prefixed with the 1-based line number of the index-th
-    non-comment line of `text` (0 is the header)."""
-    numbers = [
-        no
-        for no, ln in enumerate(text.splitlines(), 1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    return ValueError(f"line {numbers[index]}: {exc}")
+        raise ValueError(f"line {lines[bad + 1][0]}: {exc}") from None
 
 
 def format_hg(h: Hypergraph, comment: str | None = None) -> str:

@@ -28,8 +28,9 @@ profiled run.  ``SubsetCounts.__init__`` numbers the subsets and lists
 their holders.  One more pass counts the marking coin draws and prints
 ``rounds_per_draw``; the marking rounds by path, ``single_rounds`` (drawn
 one at a time, ``rng.marks``), ``block_draws`` (``rng.mark_grid``) and
-``block_rounds`` (the rounds that change no row, recorded by
-``bl._quiet_rounds``); and the (mask, proper non-empty submask) pairs
+``block_rounds`` (the rounds of blocks that mark nothing and only get
+their records: the marking rounds less the ``bl._mark_round`` calls and
+the final shortcut rounds); and the (mask, proper non-empty submask) pairs
 that ``SubsetCounts.recount`` reads, ``submask_pairs_per_recount``.  A
 sampling run also prints ``outer_cleanup_ms_per_round``, the wall time
 of the blue shrink's ``State.cleanup`` on the outer state (not the inner
@@ -134,8 +135,9 @@ def work_counts(solve_all) -> dict[str, int]:
     recounts and the (mask, submask) pairs the recounts read while
     `solve_all` runs."""
     marks, mark_grid, recount = rng.marks, rng.mark_grid, _edgeops.SubsetCounts.recount
-    quiet_rounds = bl._quiet_rounds
-    seen = dict.fromkeys(["single", "blocks", "block_rounds", "recounts", "pairs"], 0)
+    mark_round, record = bl._mark_round, bl.BlRoundRecord
+    seen = dict.fromkeys(["single", "blocks", "records", "marked", "shortcut", "recounts",
+                          "pairs"], 0)
 
     def counted_marks(*args):
         seen["single"] += 1
@@ -145,10 +147,15 @@ def work_counts(solve_all) -> dict[str, int]:
         seen["blocks"] += 1
         return mark_grid(*args)
 
-    def counted_quiet_rounds(*args):
-        records, ids, marked = quiet_rounds(*args)
-        seen["block_rounds"] += len(records)
-        return records, ids, marked
+    def counted_mark_round(*args):
+        seen["marked"] += 1
+        return mark_round(*args)
+
+    def counted_record(*args):
+        rec = record(*args)
+        seen["records"] += 1
+        seen["shortcut"] += rec.delta == 0.0  # only the final shortcut round has delta 0
+        return rec
 
     def counted_recount(self, rows, old, new):
         seen["recounts"] += 1
@@ -158,13 +165,14 @@ def work_counts(solve_all) -> dict[str, int]:
 
     rng.marks, rng.mark_grid = counted_marks, counted_grid
     _edgeops.SubsetCounts.recount = counted_recount
-    bl._quiet_rounds = counted_quiet_rounds
+    bl._mark_round, bl.BlRoundRecord = counted_mark_round, counted_record
     try:
         solve_all()
     finally:
         rng.marks, rng.mark_grid = marks, mark_grid
         _edgeops.SubsetCounts.recount = recount
-        bl._quiet_rounds = quiet_rounds
+        bl._mark_round, bl.BlRoundRecord = mark_round, record
+    seen["block_rounds"] = seen["records"] - seen["marked"] - seen["shortcut"]
     return seen
 
 

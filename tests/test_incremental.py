@@ -157,28 +157,40 @@ def grid_rows(h, cfg, vertex_set=None):
 @given(hypergraphs(), st.sampled_from([0.02, 0.1, 0.5]), st.sampled_from([None, 9, 60]),
        st.integers(0, 10 ** 6), st.data())
 def test_bl_runs_match_full_recompute(instance, p, max_rounds, solver_seed, data):
-    # whole runs, in which rounds that change no row are drawn in blocks
+    # whole runs, in which rounds that mark nothing are drawn in blocks
     h, pool = instance
     cfg = BlConfig(seed=solver_seed, p_override=p, max_rounds=max_rounds or 400)
     grid_rows(h, cfg, data.draw(vertex_sets(h.n, pool)))
 
 
-# three short edges among 300 ids: at p = 0.01 most rounds mark no id of a
-# row, so blocks of rounds are drawn at once
+# three short edges among 300 ids: at p = 0.001 most rounds mark no id, so
+# blocks of rounds are drawn at once
 SPARSE = Hypergraph(300, [(1, 2, 3), (2, 3, 4), (4, 5), (6, 7)])
 
 
-def test_quiet_rounds_are_drawn_in_blocks():
-    drawn = grid_rows(SPARSE, BlConfig(seed=3, p_override=0.01))
+def test_empty_rounds_are_drawn_in_blocks():
+    drawn = grid_rows(SPARSE, BlConfig(seed=3, p_override=0.001))
     assert max(map(len, drawn)) >= 8
 
 
 def test_block_stops_at_the_round_cap():
     # blocks of 1, 2, 4 and 8 rounds fill 15 of the 20 rounds; the next
     # would take 16 and is cut to the 5 left
-    cfg = BlConfig(seed=3, p_override=0.0005, max_rounds=20)
+    cfg = BlConfig(seed=3, p_override=0.0001, max_rounds=20)
     drawn = grid_rows(SPARSE, cfg)
     assert drawn == [list(range(1, 3)), list(range(3, 7)), list(range(7, 15)), list(range(15, 20))]
+
+
+def test_round_zero_drops_singletons_though_it_marks_nothing():
+    # a round that marks nothing changes nothing only once no singleton
+    # row is left, so round 0 runs alone, whatever it marks
+    h = Hypergraph(6, [(1, 2, 3), (2, 3, 4), (5,)])
+    cfg = BlConfig(seed=3, p_override=0.01)
+    res = bl.run_bl(h, cfg)
+    first = res.rounds[0]
+    assert (first.marked, first.remaining_vertices, first.remaining_edges) == ((), 5, 2)
+    assert res.status == bl.STATUS_OK and 5 not in res.mis
+    assert grid_rows(h, cfg)[0][0] == 1
 
 
 def force(ids):
